@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-compact bench-jobs fuzz metrics-check scand-smoke xcheck soak clean
+.PHONY: build test race vet fuzz metrics-check scand-smoke xcheck soak
 
 build:
 	$(GO) build ./...
@@ -14,35 +14,6 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench runs the fault-simulation benchmarks and writes a
-# machine-readable summary (ns/op, allocs/op, batchsteps, fastfwd, ...)
-# to BENCH_sim.json via cmd/benchjson. -benchtime can be overridden:
-#   make bench BENCHTIME=10x
-BENCHTIME ?= 1s
-
-bench:
-	{ $(GO) test -run '^$$' -bench 'FaultSimScan|RunSubsetScan|Run$$|StepClean|StepFaulty' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/sim/ && \
-	  $(GO) test -run '^$$' -bench 'Compaction' -benchmem -benchtime 1x ./internal/compact/ ; } | \
-		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_sim.json
-
-# bench-compact runs the compaction trial-engine benchmarks — the
-# incremental engine against the serial scratch reference across worker
-# counts (trial throughput, prefix-cache reuse, reconvergence cutoffs)
-# plus the ADI scoring pass — and writes BENCH_compact.json:
-#   make bench-compact BENCHTIME=1x     # CI smoke
-bench-compact:
-	$(GO) test -run '^$$' -bench 'CompactionEngines|ADIScores' \
-		-benchmem -benchtime $(BENCHTIME) ./internal/compact/ | \
-		tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_compact.json
-
-# bench-jobs measures job-server throughput on a multi-circuit compact
-# job (restore stage + chained omission chunks per circuit) at one
-# worker versus a fleet — tasks/s and wall-clock speedup, with the two
-# runs' result bytes required identical — and writes BENCH_jobs.json.
-bench-jobs:
-	$(GO) run ./cmd/benchjobs
-
 # fuzz runs the .bench parser fuzzer for a short smoke interval, as CI
 # does. Override with FUZZTIME=5m for a longer local run.
 FUZZTIME ?= 20s
@@ -52,7 +23,7 @@ fuzz:
 
 # metrics-check exercises the -metrics flight recorder end to end: a
 # tiny s27 generation+compaction run writes a JSONL file, and
-# cmd/metricscheck validates it against the schema (ALGORITHMS.md §11).
+# cmd/metricscheck validates it against the schema (docs/ALGORITHMS.md §11).
 metrics-check:
 	tmp=$$(mktemp /tmp/metrics.XXXXXX.jsonl); \
 	trap 'rm -f $$tmp' EXIT; \
@@ -63,12 +34,12 @@ metrics-check:
 # an ephemeral port, run jobs through the HTTP API with scanctl,
 # validate the streamed events with metricscheck, compare a sharded
 # simulate job byte-for-byte against an unsharded one, and require a
-# clean SIGTERM drain (README "Serving jobs", ALGORITHMS.md §15).
+# clean SIGTERM drain (README "Serving jobs", docs/ALGORITHMS.md §15).
 scand-smoke:
 	GO="$(GO)" sh scripts/scand_smoke.sh
 
 # xcheck runs the differential/metamorphic cross-check harness
-# (ALGORITHMS.md §12) on fixed seeds across every catalog circuit plus
+# (docs/ALGORITHMS.md §12) on fixed seeds across every catalog circuit plus
 # a seeded synthetic one, under the race detector. A violation prints a
 # minimized reproduction and fails the target. Override the seed count
 # with XCHECK_SEEDS=5 for a longer local hunt.
@@ -77,7 +48,7 @@ XCHECK_SEEDS ?= 1
 xcheck:
 	$(GO) run -race ./cmd/xcheck -circuits all -seeds $(XCHECK_SEEDS) -start-seed 1
 
-# soak runs the crash/resume soak harness (ALGORITHMS.md §14) under
+# soak runs the crash/resume soak harness (docs/ALGORITHMS.md §14) under
 # the race detector: every iteration kills a flow child at a random
 # checkpoint-store or metrics-append failpoint, resumes it, and asserts
 # the final output is bit-identical to an uninterrupted run. Override
@@ -86,6 +57,3 @@ SOAK_ITERS ?= 200
 
 soak:
 	$(GO) run -race ./cmd/crashsoak -iters $(SOAK_ITERS) -seed 1
-
-clean:
-	rm -f BENCH_sim.json BENCH_compact.json

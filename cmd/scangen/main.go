@@ -42,8 +42,6 @@ func main() {
 		printSeq   = flag.Bool("print-seq", false, "with -circuit: print the sequence as a paper-style table")
 		noBaseline = flag.Bool("no-baseline", false, "skip the conventional-scan baseline")
 		noCollapse = flag.Bool("no-collapse", false, "disable fault equivalence collapsing")
-		omitCap    = flag.Int("omit-cap", 0, "skip omission when the restored sequence exceeds this many vectors (0 = never; skips are warned)")
-		engine     = flag.String("compact-engine", "auto", "compaction trial engine: auto, incremental or scratch (output identical)")
 		adiOrder   = flag.Bool("adi-order", false, "restore faults in increasing accidental-detection-index order (changes the output)")
 		chains     = flag.Int("chains", 1, "number of scan chains (generation flow)")
 		workers    = flag.Int("workers", 0, "fault-simulation worker count (0 = all cores; results are identical for every value)")
@@ -78,17 +76,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := compact.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scangen:", err)
-		os.Exit(2)
-	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Collapse = !*noCollapse
 	cfg.SkipBaseline = *noBaseline
-	cfg.OmitLenCap = *omitCap
-	cfg.Engine = eng
 	if *adiOrder {
 		cfg.Order = compact.OrderADI
 	}
@@ -96,7 +87,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.Control = ctl
 	cfg.Obs = ort.Observer()
-	cfg.Warn = os.Stderr
 
 	switch {
 	case *circuit != "":

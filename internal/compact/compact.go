@@ -33,63 +33,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Engine selects the trial-engine implementation behind both passes.
-// Every engine produces bit-identical compacted sequences (and the
-// semantic Stats fields BeforeLen/AfterLen/TargetFaults/ExtraDetected);
-// only the work performed differs, so Simulations and BatchSteps are
-// engine-specific accounting. The xcheck invariant "compact/engines"
-// pins the equivalence across the seeded catalog.
-type Engine uint8
-
-const (
-	// EngineAuto selects EngineIncremental.
-	EngineAuto Engine = iota
-	// EngineIncremental is the incremental, parallel trial engine:
-	// restoration verdicts are cached per trial version and coverage is
-	// refreshed by wide multi-batch lookahead runs that fan out across
-	// the simulator's workers; omission evaluates the independent
-	// per-batch trial jobs of a removal speculatively in parallel,
-	// charging only the deadline-order job prefix the serial engine
-	// would have run. Deterministic merges keep the output — and the
-	// Stats — identical at every worker count.
-	EngineIncremental
-	// EngineScratch is the serial reference engine: one coverage check
-	// per uncovered restoration target, omission jobs evaluated
-	// earliest-deadline-first with an early exit on the first failure.
-	EngineScratch
-)
-
-// incremental reports whether the engine runs the incremental paths.
-func (e Engine) incremental() bool { return e != EngineScratch }
-
-// String names the engine the way ParseEngine spells it.
-func (e Engine) String() string {
-	switch e {
-	case EngineIncremental:
-		return "incremental"
-	case EngineScratch:
-		return "scratch"
-	default:
-		return "auto"
-	}
-}
-
-// ParseEngine parses a -compact-engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "incremental":
-		return EngineIncremental, nil
-	case "scratch":
-		return EngineScratch, nil
-	}
-	return EngineAuto, fmt.Errorf("compact: unknown engine %q (want auto, incremental or scratch)", s)
-}
-
 // Order selects the restoration target order. The order changes which
-// vectors restoration keeps, so unlike Engine it legitimately changes
-// the compacted output; a golden test pins each order's result.
+// vectors restoration keeps, so unlike every other option it
+// legitimately changes the compacted output; a golden test pins each
+// order's result.
 type Order uint8
 
 const (
@@ -142,10 +89,6 @@ type Options struct {
 	// without it. A private simulator built by the pass is observed
 	// too; a caller-supplied Sim keeps whatever observer it already has.
 	Obs obs.Observer
-	// Engine selects the trial engine (see Engine); the zero value is
-	// EngineAuto, i.e. the incremental engine. The compacted output is
-	// identical for every engine.
-	Engine Engine
 	// Order selects the restoration target order (see Order). Unlike
 	// every other option, a non-default order changes the output.
 	Order Order
@@ -270,12 +213,10 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 			}
 		case corruptCheckpointError(err):
 			// The stored state is damaged, not from a different run:
-			// demote to the scratch engine and redo the pass from the
-			// start. Engines are bit-identical, so the output is the
-			// one the undamaged run would have produced.
+			// redo the pass from the start, which reproduces the output
+			// the undamaged run would have produced.
 			obs.C(ob, "restore.ckpt_degraded").Inc()
 			obs.Emit(ob, "restore", "checkpoint_degraded", obs.F("error", err.Error()))
-			opts.Engine = EngineScratch
 			for i := range kept {
 				kept[i] = false
 			}
@@ -295,21 +236,14 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 	if resumed {
 		obs.Emit(ob, "restore", "resume", obs.F("pos", startPos))
 	}
-	// The incremental engine tracks, per fault, the trial version (the
-	// number of restoration commits so far) at which the fault was last
-	// verified undetected. A fault whose verification is still current
-	// needs no new simulation at processing time: the restored
-	// subsequence has not changed since a lookahead refresh checked it,
-	// so the verdict "uncovered — restore vectors" is already known.
-	// Because covered flags are monotone (restoration only adds
-	// vectors), skipping the re-check cannot change any decision the
-	// scratch engine would make.
-	incremental := opts.Engine.incremental()
-	var checkedAt []int
+	// checkedAt[fi] is the trial version (the number of restoration
+	// commits so far) at which fault fi was last verified undetected. A
+	// fault whose verification is still current needs no new simulation
+	// at processing time: the restored subsequence has not changed since
+	// a lookahead refresh checked it, so the verdict "uncovered — restore
+	// vectors" is already known.
+	checkedAt := make([]int, len(faults))
 	ver := 1
-	if incremental {
-		checkedAt = make([]int, len(faults))
-	}
 	group := make([]int, 0, restoreLookahead)
 	fbuf := make([]fault.Fault, 0, restoreLookahead)
 	detBuf := make([]int, 0, restoreLookahead)
@@ -321,33 +255,18 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 		}
 		fi := order[pos]
 		cTrials.Inc()
-		if !covered[fi] && !(incremental && checkedAt[fi] == ver) {
+		if !covered[fi] && checkedAt[fi] != ver {
+			// Refresh coverage for the next restoreLookahead
+			// still-uncovered targets in one multi-batch run; the
+			// batches fan out across the simulator's workers.
 			group = group[:0]
-			if incremental {
-				// Refresh coverage for the next restoreLookahead
-				// still-uncovered targets in one multi-batch run; the
-				// batches fan out across the simulator's workers.
-				for _, gi := range order[pos:] {
-					if covered[gi] {
-						continue
-					}
-					group = append(group, gi)
-					if len(group) == restoreLookahead {
-						break
-					}
+			for _, gi := range order[pos:] {
+				if covered[gi] {
+					continue
 				}
-			} else {
-				// Batch-check this fault together with the next
-				// still-uncovered ones in its 64-wide window.
-				end := pos + sim.Slots
-				if end > len(order) {
-					end = len(order)
-				}
-				for _, gi := range order[pos:end] {
-					if covered[gi] {
-						continue
-					}
-					group = append(group, gi)
+				group = append(group, gi)
+				if len(group) == restoreLookahead {
+					break
 				}
 			}
 			st.Simulations++
@@ -357,7 +276,7 @@ func RestoreOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, o
 				if r.Detected(i) {
 					covered[gi] = true
 					cCovered.Inc()
-				} else if incremental {
+				} else {
 					checkedAt[gi] = ver
 				}
 			}
@@ -448,8 +367,8 @@ func restorationOrder(detAt []int, policy Order, scores []int) []int {
 }
 
 // restoreLookahead is how many still-uncovered targets ahead of the
-// current position the incremental engine's coverage refresh checks in
-// one multi-batch run. The constant is deliberately independent of the
+// current position restoration's coverage refresh checks in one
+// multi-batch run. The constant is deliberately independent of the
 // worker count — a worker-sized lookahead would make Simulations
 // depend on GOMAXPROCS — and four batches are enough to keep small
 // worker pools busy without wasting checks that a later insertion
@@ -489,7 +408,6 @@ func OmitOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, opts
 	}()
 	o := newOmitter(s, seq, faults)
 	defer o.close()
-	o.parallel = opts.Engine.incremental()
 	o.cTrials = obs.C(ob, "omit.trials")
 	o.cRemoved = obs.C(ob, "omit.removed_vectors")
 	o.cReconv = obs.C(ob, "omit.reconv_cutoffs")
@@ -517,11 +435,10 @@ func OmitOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, opts
 				}
 			}
 		case corruptCheckpointError(err):
-			// Damaged checkpoint: demote to the scratch engine and redo
-			// the whole pass (see the restore path above).
+			// Damaged checkpoint: redo the whole pass (see the restore
+			// path above).
 			obs.C(ob, "omit.ckpt_degraded").Inc()
 			obs.Emit(ob, "omit", "checkpoint_degraded", obs.F("error", err.Error()))
-			o.parallel = false
 		default:
 			ctl.Fail()
 			st.Status, st.Err = runctl.Failed, err

@@ -64,13 +64,11 @@ func BenchmarkCompaction(b *testing.B) {
 	})
 }
 
-// BenchmarkCompactionEngines compares the incremental trial engine
-// against the serial scratch reference on the full pipeline, across
-// worker counts. Both produce bit-identical output; the metrics expose
-// where the incremental engine's time goes: trial throughput, the
-// fault-free trace prefix reuse in the shared simulator, and the
+// BenchmarkCompactionWorkers runs the full pipeline across worker
+// counts. The output is bit-identical at every count; the metrics
+// expose where the trial engine's time goes: trial throughput and the
 // omission engine's reconvergence cutoffs and window-memo hits.
-func BenchmarkCompactionEngines(b *testing.B) {
+func BenchmarkCompactionWorkers(b *testing.B) {
 	c, err := circuits.Load("s298")
 	if err != nil {
 		b.Fatal(err)
@@ -82,38 +80,26 @@ func BenchmarkCompactionEngines(b *testing.B) {
 	faults := fault.Universe(sc.Scan, true)
 	gen := seqatpg.Generate(sc, faults, seqatpg.Options{Seed: 1})
 
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	seen := map[int]bool{}
-	for _, engine := range []Engine{EngineIncremental, EngineScratch} {
-		for k := range seen {
-			delete(seen, k)
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		if seen[workers] {
+			continue
 		}
-		for _, workers := range workerCounts {
-			if seen[workers] {
-				continue
+		seen[workers] = true
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			var st Stats
+			for i := 0; i < b.N; i++ {
+				_, _, _, st = RestoreThenOmitOpts(sc.Scan, gen.Sequence, faults,
+					Options{Workers: workers, Obs: reg})
 			}
-			seen[workers] = true
-			if engine == EngineScratch && workers != 1 {
-				continue // the scratch trial loop is serial by definition
-			}
-			name := fmt.Sprintf("%s/workers=%d", engine, workers)
-			b.Run(name, func(b *testing.B) {
-				reg := obs.NewRegistry()
-				var st Stats
-				for i := 0; i < b.N; i++ {
-					_, _, _, st = RestoreThenOmitOpts(sc.Scan, gen.Sequence, faults,
-						Options{Engine: engine, Workers: workers, Obs: reg})
-				}
-				snap := reg.Snapshot().Counters
-				trials := snap["restore.trials"] + snap["omit.trials"]
-				b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
-				b.ReportMetric(float64(snap["sim.trace_prefix_hits"])/float64(b.N), "prefix_hits/op")
-				b.ReportMetric(float64(snap["sim.trace_prefix_steps"])/float64(b.N), "prefix_steps/op")
-				b.ReportMetric(float64(snap["omit.reconv_cutoffs"])/float64(b.N), "reconv/op")
-				b.ReportMetric(float64(snap["omit.window_memo_hits"])/float64(b.N), "win_hits/op")
-				b.ReportMetric(float64(st.BatchSteps), "batchsteps")
-			})
-		}
+			snap := reg.Snapshot().Counters
+			trials := snap["restore.trials"] + snap["omit.trials"]
+			b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
+			b.ReportMetric(float64(snap["omit.reconv_cutoffs"])/float64(b.N), "reconv/op")
+			b.ReportMetric(float64(snap["omit.window_memo_hits"])/float64(b.N), "win_hits/op")
+			b.ReportMetric(float64(st.BatchSteps), "batchsteps")
+		})
 	}
 }
 

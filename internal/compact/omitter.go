@@ -56,8 +56,8 @@ func omitCkptStride(nVec, nBatches, nFF int) int {
 //     with the committed trajectory — on scan sequences that is about
 //     one scan operation, not the remaining tail;
 //   - a trial only simulates the fault batches whose detections are at
-//     stake, each bounded just past its latest previous detection; the
-//     incremental engine runs those independent jobs speculatively in
+//     stake, each bounded just past its latest previous detection; with
+//     more than one worker those independent jobs run speculatively in
 //     parallel with deterministic accounting (see tryRemove).
 type omitter struct {
 	c      *netlist.Circuit
@@ -77,16 +77,9 @@ type omitter struct {
 
 	stride  int // spacing of per-batch prefix checkpoints
 	batches []*omitBatch
-	scratch *sim.Machine // reused for batch replay on the serial engine
+	scratch *sim.Machine // reused for batch replay on the serial path
 	sims    int
 	steps   int64 // batch-vector simulation steps (see Stats.BatchSteps)
-
-	// parallel selects speculative concurrent trial jobs
-	// (EngineIncremental); the serial engine evaluates jobs
-	// earliest-deadline-first with an early exit instead. Both charge
-	// the same jobs to Stats (see tryRemove), so the accounting is
-	// identical across engines and worker counts.
-	parallel bool
 
 	// Window-boundary prefix memo: winStates[bi] (when winHave[bi])
 	// holds batch bi's faulty state just before cur[winLo]. Valid for
@@ -512,11 +505,10 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 	tg := o.newTrialGood(lo, removed)
 
 	nw := o.sim.Workers()
-	if !o.parallel || nw <= 1 || len(jobs) == 1 {
+	if nw <= 1 || len(jobs) == 1 {
 		// Serial earliest-deadline evaluation with early exit. The
 		// speculative branch below charges exactly this job prefix to
-		// Stats, so a single-worker incremental run takes this path with
-		// identical accounting.
+		// Stats, so the accounting is identical at every worker count.
 		var hits []omitHit
 		for i := range jobs {
 			jb := &jobs[i]
@@ -537,11 +529,10 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 	// it in that order are skipped. Only the deadline-order prefix up to
 	// and including the first failure is charged to Stats — exactly the
 	// set the serial loop above evaluates — so Simulations/BatchSteps
-	// are identical at every worker count and across engines. A
-	// speculative job that ran beyond that prefix costs only
-	// otherwise-idle cores; its one side effect, a freshly populated
-	// window memo, is rolled back below so later trials replay exactly
-	// what the serial engine would have.
+	// are identical at every worker count. A speculative job that ran
+	// beyond that prefix costs only otherwise-idle cores; its one side
+	// effect, a freshly populated window memo, is rolled back below so
+	// later trials replay exactly what the serial path would have.
 	tg.ensure(maxBound)
 	if nw > len(jobs) {
 		nw = len(jobs)

@@ -346,7 +346,6 @@ func executeFlow(sp *Spec, circuit string, shard sim.FaultRange, chunk int, rest
 			Collapse:       !sp.NoCollapse,
 			Chains:         sp.Chains,
 			Workers:        sp.Workers,
-			Engine:         sp.engine(),
 			Order:          sp.order(),
 			SkipBaseline:   sp.SkipBaseline,
 			SkipCompaction: sp.SkipCompaction,
@@ -428,12 +427,19 @@ func (j *job) taskFinished(idx int, res *taskResult) {
 }
 
 func (j *job) taskFinishedLocked(idx int, res *taskResult) {
+	if res.Status.Done() {
+		// A task is Done only once its result is on disk: dependents and
+		// assembleResultLocked read it back from there.
+		path := j.taskResultPath(idx)
+		if err := writeJSONFile(path, res); err != nil {
+			res = &taskResult{Status: runctl.Failed, Error: fmt.Sprintf("persist result %s: %v", path, err)}
+		}
+	}
 	ts := &j.status.Tasks[idx]
 	ts.Status = res.Status
 	ts.Error = res.Error
 	if res.Status.Done() {
 		ts.Done = true
-		writeJSONFile(j.taskResultPath(idx), res)
 		for _, t := range j.tasks {
 			for _, d := range t.deps {
 				if d == idx {
@@ -630,7 +636,11 @@ func writeJSONFile(path string, v any) error {
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }
 
 // readJSONFile decodes one JSON file into v.

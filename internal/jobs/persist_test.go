@@ -1,0 +1,114 @@
+package jobs
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/runctl"
+)
+
+// TestTaskResultWriteFailureFailsTask: a task whose result file cannot
+// be persisted must not be recorded Done — dependents and result
+// assembly read it back from disk — so the task and the job end Failed
+// with an error naming the path. A non-empty directory squatting on
+// task-0.result.json makes the final rename fail.
+func TestTaskResultWriteFailureFailsTask(t *testing.T) {
+	s, c := testServer(t, Options{Workers: 1})
+	var resultPath string
+	s.testTaskStart = func(tk *task) {
+		resultPath = tk.job.taskResultPath(tk.idx)
+		if err := os.MkdirAll(filepath.Join(resultPath, "occupied"), 0o755); err != nil {
+			t.Error(err)
+		}
+	}
+	ctx := context.Background()
+	st, err := c.Submit(ctx, Spec{Flow: FlowSimulate, Circuits: []string{"s27"}, SeqLen: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitTerminal(t, c, st.ID)
+	if st.State != StateFailed {
+		t.Fatalf("job settled %s, want failed", st.State)
+	}
+	ts := st.Tasks[0]
+	if ts.Done || ts.Status != runctl.Failed {
+		t.Fatalf("task done=%v status=%v, want not done and failed", ts.Done, ts.Status)
+	}
+	if !strings.Contains(ts.Error, resultPath) || !strings.Contains(st.Error, resultPath) {
+		t.Fatalf("task error %q / job error %q do not name %s", ts.Error, st.Error, resultPath)
+	}
+}
+
+// TestRetiredEngineFieldReloads: a job record written before the
+// compaction-engine knob was retired carries "engine":"scratch" in its
+// spec. A server over that data dir still reloads the job as suspended
+// and resumable, and the resumed job's result bytes equal a fresh job's
+// (every engine produced the same output, so dropping the field changes
+// nothing).
+func TestRetiredEngineFieldReloads(t *testing.T) {
+	spec := Spec{Flow: FlowCompact, Circuits: []string{"s27"}, Seed: 4, SeqLen: 48, OmitShards: 2}
+
+	_, ref := testServer(t, Options{Workers: 1})
+	want := completeJob(t, ref, spec)
+
+	// Let a server persist the queued job, holding its worker so the
+	// record is the one written at submit time.
+	s1, _ := testServer(t, Options{Workers: 1})
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	s1.testTaskStart = func(*task) { <-release }
+	st, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(s1.dataDir, st.ID, "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["state"] = string(StateRunning)
+	rec["spec"].(map[string]any)["engine"] = "scratch"
+	data, err = json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dataDir, st.ID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, st.ID, "job.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c := testServer(t, Options{DataDir: dataDir, Workers: 1})
+	ctx := context.Background()
+	loaded, err := c.Get(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.State != StateSuspended || !loaded.Resumable {
+		t.Fatalf("reloaded job %s resumable=%v, want suspended+resumable", loaded.State, loaded.Resumable)
+	}
+	if _, err := c.Resume(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, c, st.ID)
+	if final.State != StateComplete {
+		t.Fatalf("resumed job settled %s (error %q), want complete", final.State, final.Error)
+	}
+	got, err := c.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed result differs from a fresh job's:\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+	}
+}

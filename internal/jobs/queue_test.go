@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -209,8 +210,11 @@ func TestQueueRemoveUnderLoad(t *testing.T) {
 		q.push(drop.tasks[i])
 	}
 	claimed := make(chan *task, 2*perJob)
+	var claimers sync.WaitGroup
 	for i := 0; i < 4; i++ {
+		claimers.Add(1)
 		go func() {
+			defer claimers.Done()
 			for {
 				task, ok := q.pop()
 				if !ok {
@@ -242,7 +246,18 @@ func TestQueueRemoveUnderLoad(t *testing.T) {
 				keepClaimed, perJob, removed, dropClaimed)
 		}
 	}
+	// Drop tasks popped after the last keep task may still be in
+	// flight; count them once every claimer has exited.
 	q.close()
+	claimers.Wait()
+	close(claimed)
+	for task := range claimed {
+		if seen[task] {
+			t.Fatal("task claimed twice")
+		}
+		seen[task] = true
+		dropClaimed++
+	}
 	if dropClaimed+removed != perJob {
 		t.Fatalf("drop job accounting: %d claimed + %d removed != %d",
 			dropClaimed, removed, perJob)

@@ -31,10 +31,10 @@ import (
 
 // Flow names accepted by Spec.Flow.
 const (
-	FlowGenerate = "generate" // the paper's generation flow (core.RunGenerate)
+	FlowGenerate  = "generate"  // the paper's generation flow (core.RunGenerate)
 	FlowTranslate = "translate" // the translation flow (core.RunTranslate)
-	FlowSimulate = "simulate" // sharded fault simulation of a seeded sequence
-	FlowCompact = "compact" // restoration + chunked omission of a seeded sequence
+	FlowSimulate  = "simulate"  // sharded fault simulation of a seeded sequence
+	FlowCompact   = "compact"   // restoration + chunked omission of a seeded sequence
 )
 
 // Spec is a job submission: which flow to run, over which circuits,
@@ -62,9 +62,6 @@ type Spec struct {
 	// Workers is the per-task fault-simulation worker count
 	// (0 = GOMAXPROCS). Results are identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the compaction trial engine: "", "auto",
-	// "incremental" or "scratch" (output identical).
-	Engine string `json:"engine,omitempty"`
 	// AdiOrder restores faults in increasing accidental-detection-index
 	// order (changes the compacted output, deterministically).
 	AdiOrder bool `json:"adi_order,omitempty"`
@@ -127,9 +124,9 @@ func specErrf(field, format string, args ...any) error {
 var validFlows = []string{FlowGenerate, FlowTranslate, FlowSimulate, FlowCompact}
 
 // Validate checks the spec structurally: known flow, known circuits,
-// parseable engine, non-negative budgets, and flow-specific fields only
-// on the flow that honors them (a shard count on a generate job is a
-// mistake, not a default). Every failure is a *SpecError.
+// non-negative budgets, and flow-specific fields only on the flow that
+// honors them (a shard count on a generate job is a mistake, not a
+// default). Every failure is a *SpecError.
 func (s *Spec) Validate() error {
 	flowOK := false
 	for _, f := range validFlows {
@@ -154,9 +151,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return specErrf("workers", "must be non-negative")
-	}
-	if _, err := compact.ParseEngine(s.Engine); err != nil {
-		return specErrf("engine", "%q (want auto, incremental or scratch)", s.Engine)
 	}
 	if s.Partitions < 0 {
 		return specErrf("partitions", "must be non-negative")
@@ -256,12 +250,6 @@ func (s *Spec) omitShards() int {
 		return 1
 	}
 	return s.OmitShards
-}
-
-// engine parses the validated engine name.
-func (s *Spec) engine() compact.Engine {
-	e, _ := compact.ParseEngine(s.Engine)
-	return e
 }
 
 // order returns the restoration order the spec selects.

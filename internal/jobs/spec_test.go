@@ -12,9 +12,9 @@ func validSpec() Spec {
 
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
-		name    string
-		mutate  func(*Spec)
-		field   string // "" means the spec must be valid
+		name   string
+		mutate func(*Spec)
+		field  string // "" means the spec must be valid
 	}{
 		{"valid generate", func(s *Spec) {}, ""},
 		{"valid translate", func(s *Spec) { s.Flow = FlowTranslate }, ""},
@@ -42,7 +42,6 @@ func TestSpecValidate(t *testing.T) {
 		{"negative chains", func(s *Spec) { s.Chains = -1 }, "chains"},
 		{"chains on translate", func(s *Spec) { s.Flow = FlowTranslate; s.Chains = 2 }, "chains"},
 		{"negative workers", func(s *Spec) { s.Workers = -2 }, "workers"},
-		{"bad engine", func(s *Spec) { s.Engine = "turbo" }, "engine"},
 		{"negative partitions", func(s *Spec) { s.Flow = FlowSimulate; s.Partitions = -1 }, "partitions"},
 		{"partitions on generate", func(s *Spec) { s.Partitions = 2 }, "partitions"},
 		{"negative seq_len", func(s *Spec) { s.Flow = FlowSimulate; s.SeqLen = -5 }, "seq_len"},
@@ -86,6 +85,9 @@ func TestDecodeSpecStrict(t *testing.T) {
 	}{
 		{"valid", `{"flow":"generate","circuits":["s27"]}`, true},
 		{"unknown field", `{"flow":"generate","circuits":["s27"],"sharding":2}`, false},
+		// The compaction-engine knob is retired; a client still sending
+		// it gets a 400 instead of a silently ignored field.
+		{"retired engine field", `{"flow":"compact","circuits":["s27"],"engine":"scratch"}`, false},
 		{"typo'd field", `{"flow":"generate","circuit":["s27"]}`, false},
 		{"empty body", ``, false},
 		{"malformed", `{"flow":`, false},

@@ -68,21 +68,6 @@ func (m *Machine) StateEqualsImage(img StateImage) bool {
 	return true
 }
 
-// setStateFromTraceImage restores the flip-flop planes from the
-// flip-flop part of a good-trace per-vector image (layout
-// [sigZero | sigOne | ffZero | ffOne]); the combinational signal part
-// is ignored because the next Step recomputes every signal. Trace
-// images come from the fault-free machine, which is slot-uniform, so
-// the broadcast reproduces the exact state.
-func (m *Machine) setStateFromTraceImage(img []uint64, sigW, ffW int) {
-	base := 2 * sigW
-	for fi := range m.sz {
-		w, b := fi>>6, uint(fi)&63
-		m.sz[fi] = -(img[base+w] >> b & 1)
-		m.so[fi] = -(img[base+ffW+w] >> b & 1)
-	}
-}
-
 // ValuePlanes expands one logic value into full 64-slot planes — the
 // broadcast encoding used throughout the simulator, exported for
 // packages that compare machine outputs against fault-free values.

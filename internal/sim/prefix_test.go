@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
-	"repro/internal/fault"
-	"repro/internal/logic"
-	"repro/internal/obs"
 )
 
 // TestStateImageRoundTrip: capturing a slot-uniform machine state as a
@@ -40,77 +37,6 @@ func TestStateImageRoundTrip(t *testing.T) {
 		m.sz[0] ^= 2
 		if m.StateEqualsImage(img) {
 			t.Fatal("diverged machine still equals image")
-		}
-	}
-}
-
-// TestTracePrefixReuse: a Run whose sequence shares a prefix with the
-// previously cached trace must produce results identical to a cold
-// simulator, and the reuse counters must record the seeding.
-func TestTracePrefixReuse(t *testing.T) {
-	c, err := circuits.Load("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fault.Universe(c, true)
-	base := randSeq(200, c.NumInputs(), 3)
-
-	s := NewSimulator(c, 2)
-	reg := obs.NewRegistry()
-	s.Observe(reg)
-	s.Run(base, faults, Options{})
-
-	// Trial shapes compaction produces: drop a middle window, drop a
-	// suffix, replace a suffix, extend past the old length.
-	trials := []logic.Sequence{
-		append(append(logic.Sequence{}, base[:80]...), base[100:]...),
-		base[:150],
-		append(append(logic.Sequence{}, base[:120]...), randSeq(30, c.NumInputs(), 9)...),
-		append(append(logic.Sequence{}, base...), randSeq(25, c.NumInputs(), 10)...),
-	}
-	for i, seq := range trials {
-		got := s.Run(seq, faults, Options{})
-		want := NewSimulator(c, 1).Run(seq, faults, Options{})
-		for fi := range faults {
-			if got.DetectedAt[fi] != want.DetectedAt[fi] {
-				t.Fatalf("trial %d fault %d: detected at %d, want %d",
-					i, fi, got.DetectedAt[fi], want.DetectedAt[fi])
-			}
-		}
-		if got.BatchSteps != want.BatchSteps {
-			t.Fatalf("trial %d: BatchSteps %d, want %d", i, got.BatchSteps, want.BatchSteps)
-		}
-	}
-	snap := reg.Snapshot()
-	if hits := snap.Counters["sim.trace_prefix_hits"]; hits < int64(len(trials)) {
-		t.Fatalf("trace_prefix_hits = %d, want >= %d", hits, len(trials))
-	}
-	if steps := snap.Counters["sim.trace_prefix_steps"]; steps < 80 {
-		t.Fatalf("trace_prefix_steps = %d, want >= 80", steps)
-	}
-}
-
-// TestTracePrefixReuseInitialState: prefix seeding must refuse to cross
-// differing initial states.
-func TestTracePrefixReuseInitialState(t *testing.T) {
-	c, err := circuits.Load("s27")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := fault.Universe(c, true)
-	seq := randSeq(60, c.NumInputs(), 7)
-	st := make([]logic.Value, c.NumFFs())
-	for i := range st {
-		st[i] = logic.Zero
-	}
-
-	s := NewSimulator(c, 1)
-	s.Run(seq, faults, Options{})
-	got := s.Run(seq[:40], faults, Options{InitialState: st})
-	want := NewSimulator(c, 1).Run(seq[:40], faults, Options{InitialState: st})
-	for fi := range faults {
-		if got.DetectedAt[fi] != want.DetectedAt[fi] {
-			t.Fatalf("fault %d: detected at %d, want %d", fi, got.DetectedAt[fi], want.DetectedAt[fi])
 		}
 	}
 }

@@ -44,10 +44,9 @@ type Simulator struct {
 	// check per update — never per gate or per vector. Pool and trace
 	// counters are scheduling-dependent under concurrency; the
 	// batch-step and fast-forward counters are deterministic.
-	cRuns, cBatches, cSteps, cFastFwd  *obs.Counter
-	cPoolHit, cPoolMiss                *obs.Counter
-	cTraceHit, cTraceMiss              *obs.Counter
-	cTracePrefixHit, cTracePrefixSteps *obs.Counter
+	cRuns, cBatches, cSteps, cFastFwd *obs.Counter
+	cPoolHit, cPoolMiss               *obs.Counter
+	cTraceHit, cTraceMiss             *obs.Counter
 }
 
 // NewSimulator returns a Simulator for circuit c running fault batches
@@ -81,8 +80,6 @@ func (s *Simulator) Observe(o obs.Observer) {
 	s.cPoolMiss = obs.C(o, "sim.pool_misses")
 	s.cTraceHit = obs.C(o, "sim.trace_hits")
 	s.cTraceMiss = obs.C(o, "sim.trace_misses")
-	s.cTracePrefixHit = obs.C(o, "sim.trace_prefix_hits")
-	s.cTracePrefixSteps = obs.C(o, "sim.trace_prefix_steps")
 }
 
 // Workers returns the configured worker count.
@@ -160,54 +157,7 @@ func (s *Simulator) newTrace(seq logic.Sequence, opts Options) *goodTrace {
 		tr.m.SetStateBroadcast(opts.InitialState)
 		tr.initState = append([]logic.Value(nil), opts.InitialState...)
 	}
-	s.seedTracePrefix(tr)
 	return tr
-}
-
-// seedTracePrefix warm-starts a fresh trace from the trace it replaces:
-// compaction trials rebuild sequences that differ from the previous one
-// in a single vector or window, so the evicted trace's rows and images
-// up to the first differing vector are this trace's prefix verbatim.
-// The shared rows/images are immutable once produced, and the good
-// machine restarts from the flip-flop state the last shared image
-// carries, so producing vector p next is indistinguishable from having
-// stepped 0..p-1. Called (from newTrace) under trMu; the old trace may
-// be mid-extension on another goroutine, so its produced counter is
-// read once and only fully-published vectors are shared.
-func (s *Simulator) seedTracePrefix(tr *goodTrace) {
-	old := s.cached
-	if old == nil || !old.withImages || !tr.withImages {
-		return
-	}
-	if len(old.initState) != len(tr.initState) {
-		return
-	}
-	for i, v := range tr.initState {
-		if old.initState[i] != v {
-			return
-		}
-	}
-	limit := int(old.produced.Load())
-	if limit > len(tr.seq) {
-		limit = len(tr.seq)
-	}
-	p := 0
-	for p < limit {
-		a, b := tr.seq[p], old.seq[p]
-		if len(a) != len(b) || (len(a) != 0 && &a[0] != &b[0]) {
-			break
-		}
-		p++
-	}
-	if p == 0 {
-		return
-	}
-	copy(tr.rows[:p], old.rows[:p])
-	copy(tr.imgs[:p], old.imgs[:p])
-	tr.m.setStateFromTraceImage(old.imgs[p-1], tr.sigW, tr.ffW)
-	tr.produced.Store(int64(p))
-	s.cTracePrefixHit.Inc()
-	s.cTracePrefixSteps.Add(int64(p))
 }
 
 // matches reports whether this trace serves a Run of seq with opts. The

@@ -29,7 +29,7 @@ func Invariants() []Invariant {
 		{"diff/subset", checkDiffSubset},
 		{"diff/reference", checkReference},
 		{"compact/keeps-detections", checkCompactKeepsDetections},
-		{"compact/engines", checkEngineEquivalence},
+		{"compact/reference", checkReferenceCompaction},
 		{"compact/pipeline-length", checkPipelineLength},
 		{"resume/identical", checkResumeIdentical},
 		{"seq/padding-monotone", checkPaddingMonotone},
@@ -194,84 +194,48 @@ func seqEqual(a, b logic.Sequence) bool {
 	return true
 }
 
-// semantics extracts the Stats fields every engine must agree on.
-// Simulations and BatchSteps are deliberately excluded: they account
-// for the work an engine performed, which is exactly what the engines
-// differ in.
-func semantics(st compact.Stats) [4]int {
-	return [4]int{st.BeforeLen, st.AfterLen, st.TargetFaults, st.ExtraDetected}
+// refStatsOf extracts the rule-determined fields of production Stats.
+func refStatsOf(st compact.Stats) RefStats {
+	return RefStats{BeforeLen: st.BeforeLen, AfterLen: st.AfterLen,
+		TargetFaults: st.TargetFaults, ExtraDetected: st.ExtraDetected}
 }
 
-// checkEngineEquivalence: the incremental trial engine produces
-// sequences bit-identical to the serial scratch engine — for both
-// compaction passes, at every worker count, in both restoration orders
-// — along with identical semantic stats, and an incremental run
-// interrupted at an arbitrary poll boundary resumes to the same output.
-func checkEngineEquivalence(w *Workload) string {
-	type result struct {
-		seq logic.Sequence
-		st  compact.Stats
+// compareToReference reports the first way a production compaction
+// result departs from the reference: a different sequence, or different
+// BeforeLen/AfterLen/TargetFaults/ExtraDetected.
+func compareToReference(label string, want logic.Sequence, wantSt RefStats, got logic.Sequence, gotSt compact.Stats) string {
+	if !seqEqual(want, got) {
+		return fmt.Sprintf("%s: production output (%d vectors) differs from the reference (%d vectors)",
+			label, len(got), len(want))
 	}
-	run := func(opts compact.Options) (result, result) {
-		r, rst := compact.RestoreOpts(w.Design.Scan, w.Seq, w.Faults, opts)
-		o, ost := compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults, opts)
-		return result{r, rst}, result{o, ost}
+	if have := refStatsOf(gotSt); have != wantSt {
+		return fmt.Sprintf("%s: production stats %+v differ from the reference %+v", label, have, wantSt)
+	}
+	return ""
+}
+
+// checkReferenceCompaction: production restoration and omission
+// reproduce the from-scratch reference compactor (refcompact.go)
+// exactly — sequences and rule-determined stats — at every worker
+// count, restoration in both orders (omission has no order).
+func checkReferenceCompaction(w *Workload) string {
+	c := w.Design.Scan
+	wantO, wantOSt := RefOmit(sim.NewSimulator(c, 1), w.Seq, w.Faults)
+	for _, workers := range workerCounts() {
+		gotO, gotOSt := compact.OmitOpts(c, w.Seq, w.Faults, compact.Options{Workers: workers})
+		label := fmt.Sprintf("reference/omit workers=%d", workers)
+		if msg := compareToReference(label, wantO, wantOSt, gotO, gotOSt); msg != "" {
+			return msg
+		}
 	}
 	for _, order := range []compact.Order{compact.OrderDetection, compact.OrderADI} {
-		refR, refO := run(compact.Options{Workers: 1, Engine: compact.EngineScratch, Order: order})
+		wantR, wantRSt := RefRestore(sim.NewSimulator(c, 1), w.Seq, w.Faults, order == compact.OrderADI)
 		for _, workers := range workerCounts() {
-			gotR, gotO := run(compact.Options{Workers: workers, Engine: compact.EngineIncremental, Order: order})
-			for _, c := range []struct {
-				pass     string
-				ref, got result
-			}{{"restore", refR, gotR}, {"omit", refO, gotO}} {
-				label := fmt.Sprintf("engines/%s order=%s workers=%d", c.pass, order, workers)
-				if !seqEqual(c.ref.seq, c.got.seq) {
-					return fmt.Sprintf("%s: incremental output (%d vectors) differs from scratch (%d vectors)",
-						label, len(c.got.seq), len(c.ref.seq))
-				}
-				if semantics(c.ref.st) != semantics(c.got.st) {
-					return fmt.Sprintf("%s: incremental stats %v differ from scratch %v",
-						label, semantics(c.got.st), semantics(c.ref.st))
-				}
+			gotR, gotRSt := compact.RestoreOpts(c, w.Seq, w.Faults, compact.Options{Workers: workers, Order: order})
+			label := fmt.Sprintf("reference/restore order=%s workers=%d", order, workers)
+			if msg := compareToReference(label, wantR, wantRSt, gotR, gotRSt); msg != "" {
+				return msg
 			}
-		}
-	}
-
-	// Interrupt the incremental engine at a random poll boundary and
-	// resume; the final output must still match the scratch reference.
-	rng := w.rng(9)
-	polls := int64(1 + rng.Intn(60))
-	refR, refO := run(compact.Options{Workers: 1, Engine: compact.EngineScratch})
-	for _, c := range []struct {
-		pass string
-		want logic.Sequence
-		run  func(ctl *runctl.Control) (logic.Sequence, compact.Stats)
-	}{
-		{"restore", refR.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
-			return compact.RestoreOpts(w.Design.Scan, w.Seq, w.Faults,
-				compact.Options{Workers: 1, Engine: compact.EngineIncremental, Control: ctl})
-		}},
-		{"omit", refO.seq, func(ctl *runctl.Control) (logic.Sequence, compact.Stats) {
-			return compact.OmitOpts(w.Design.Scan, w.Seq, w.Faults,
-				compact.Options{Workers: 1, Engine: compact.EngineIncremental, Control: ctl})
-		}},
-	} {
-		store := runctl.NewMemStore()
-		_, st := c.run(resumeControl(store, polls))
-		if st.Status == runctl.Complete {
-			continue // finished before the injected stop; nothing to resume
-		}
-		if st.Status != runctl.Canceled {
-			return fmt.Sprintf("engines/resume/%s: interrupted leg status %v, want canceled", c.pass, st.Status)
-		}
-		got, st := c.run(&runctl.Control{Store: store, Resume: true})
-		if st.Status != runctl.Resumed {
-			return fmt.Sprintf("engines/resume/%s: resumed leg status %v", c.pass, st.Status)
-		}
-		if !seqEqual(c.want, got) {
-			return fmt.Sprintf("engines/resume/%s: resumed incremental output (%d vectors) differs from scratch (%d vectors) after stop at poll %d",
-				c.pass, len(got), len(c.want), polls)
 		}
 	}
 	return ""

@@ -58,8 +58,8 @@ func checkWorkerClaim(w *Workload) string {
 		if !seqEqual(wantO, omitted) {
 			return fmt.Sprintf("%s: omitted %d vectors, reference %d", label, len(omitted), len(wantO))
 		}
-		if semantics(ost) != semantics(wantOst) {
-			return fmt.Sprintf("%s: omit stats %v, reference %v", label, semantics(ost), semantics(wantOst))
+		if refStatsOf(ost) != refStatsOf(wantOst) {
+			return fmt.Sprintf("%s: omit stats %+v, reference %+v", label, refStatsOf(ost), refStatsOf(wantOst))
 		}
 	}
 

@@ -5,6 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/circuits"
+	"repro/internal/compact"
+	"repro/internal/fault"
+	"repro/internal/scan"
+	"repro/internal/seqatpg"
+	"repro/internal/sim"
 )
 
 // TestGenerateDeterministic: a workload is a pure function of
@@ -177,5 +184,59 @@ func TestRefDetectMatrix(t *testing.T) {
 	}
 	if msg := checkReference(w); msg != "" {
 		t.Errorf("reference disagrees with oracle: %s", msg)
+	}
+}
+
+// TestReferenceCatchesDroppedVector: the compact/reference comparison
+// is not a tautology — handed a production omission output with one
+// more vector dropped (and its length stat adjusted to match), it must
+// report a violation.
+func TestReferenceCatchesDroppedVector(t *testing.T) {
+	w, err := Generate("s27", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := w.Design.Scan
+	want, wantSt := RefOmit(sim.NewSimulator(c, 1), w.Seq, w.Faults)
+	got, gotSt := compact.OmitOpts(c, w.Seq, w.Faults, compact.Options{Workers: 1})
+	if msg := compareToReference("omit", want, wantSt, got, gotSt); msg != "" {
+		t.Fatalf("unmodified production output: %s", msg)
+	}
+	if len(got) < 2 {
+		t.Fatalf("omission left %d vectors; need two to drop one", len(got))
+	}
+	dropped := append(got[:len(got)/2:len(got)/2], got[len(got)/2+1:]...)
+	gotSt.AfterLen = len(dropped)
+	if msg := compareToReference("omit", want, wantSt, dropped, gotSt); msg == "" {
+		t.Fatal("reference accepted an output with a vector dropped")
+	}
+}
+
+// TestReferenceMatchesGeneratedPipeline runs the reference on a full
+// generated s298 sequence (406 vectors), longer than any xcheck
+// workload, where omission's trial bound decides some removals: a
+// production bound of maxDet+2 instead of maxDet+slack shows up here as
+// a different omitted sequence.
+func TestReferenceMatchesGeneratedPipeline(t *testing.T) {
+	c, err := circuits.Load("s298")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scan.Insert(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.Universe(sc.Scan, true)
+	seq := seqatpg.Generate(sc, faults, seqatpg.Options{Seed: 1}).Sequence
+	s := sim.NewSimulator(sc.Scan, 1)
+	wantR, wantRSt := RefRestore(s, seq, faults, false)
+	gotR, gotRSt := compact.RestoreOpts(sc.Scan, seq, faults, compact.Options{})
+	if msg := compareToReference("restore", wantR, wantRSt, gotR, gotRSt); msg != "" {
+		t.Fatal(msg)
+	}
+	wantO, wantOSt := RefOmit(s, wantR, faults)
+	gotO, gotOSt := compact.OmitOpts(sc.Scan, gotR, faults, compact.Options{})
+	if msg := compareToReference("omit", wantO, wantOSt, gotO, gotOSt); msg != "" {
+		t.Fatal(msg)
 	}
 }

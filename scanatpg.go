@@ -182,31 +182,24 @@ func ConventionalCycles(tests []ScanTest, nsv int) int {
 }
 
 // CompactOptions tunes the compaction entry points Restore, Omit and
-// Compact. The zero value selects defaults (all cores, incremental
-// engine, detection order, no budget, no observation). Fields:
+// Compact. The zero value selects defaults (all cores, detection
+// order, no budget, no observation). Fields:
 //
 //   - Workers / Sim: fault-simulation parallelism, or a caller-owned
 //     Simulator whose machine pool is shared across passes.
 //   - Control: budget/cancellation and checkpoint/resume — the former
 //     *WithControl variants folded into the options struct.
 //   - Obs: the flight-recorder Observer for the pass.
-//   - Engine: the trial engine (output identical for every engine).
 //   - Order: the restoration target order (OrderADI changes output).
 type CompactOptions = compact.Options
-
-// CompactEngine selects the compaction trial engine.
-type CompactEngine = compact.Engine
 
 // CompactOrder selects the restoration target order.
 type CompactOrder = compact.Order
 
-// Compaction engine and order values for CompactOptions.
+// Compaction order values for CompactOptions.
 const (
-	EngineAuto        = compact.EngineAuto
-	EngineIncremental = compact.EngineIncremental
-	EngineScratch     = compact.EngineScratch
-	OrderDetection    = compact.OrderDetection
-	OrderADI          = compact.OrderADI
+	OrderDetection = compact.OrderDetection
+	OrderADI       = compact.OrderADI
 )
 
 // Restore applies vector-restoration compaction [23] to a test sequence
@@ -225,8 +218,8 @@ func Omit(sc ScanDesign, seq Sequence, faults []Fault, opts CompactOptions) (Seq
 
 // Compact applies the paper's Section 4 pipeline — restoration followed
 // by omission — and returns the final sequence with the omission stats.
-// Budgets, checkpointing, observation and engine/order selection all
-// ride in opts; with a Control set, a stopped pass returns the valid
+// Budgets, checkpointing, observation and order selection all ride in
+// opts; with a Control set, a stopped pass returns the valid
 // partially compacted sequence with Stats.Status set.
 func Compact(sc ScanDesign, seq Sequence, faults []Fault, opts CompactOptions) (Sequence, CompactionStats) {
 	_, omitted, _, ost := compact.RestoreThenOmitOpts(sc.ScanCircuit(), seq, faults, opts)
