@@ -8,10 +8,11 @@
 // a process restart with results bit-identical to an uninterrupted
 // run.
 //
-// Tasks run on the in-process pool (-workers), on remote cmd/scanworker
-// processes claiming leases over HTTP (-workers -1 for remote-only), or
-// both. A lease not heartbeated within -lease-ttl is reclaimed and its
-// task re-run from the last checkpoint the worker uploaded, so a killed
+// Every task runs under a lease: on in-process workers (-workers, named
+// local-N, claiming by direct calls), on remote cmd/scanworker
+// processes claiming over HTTP (-workers -1 for remote-only), or both.
+// A lease not heartbeated within -lease-ttl is reclaimed and its task
+// re-run from the last checkpoint the worker uploaded, so a killed
 // worker costs at most one heartbeat of progress and never a byte of
 // the result.
 //
@@ -19,10 +20,12 @@
 //
 //	scand -addr 127.0.0.1:8080 -data /var/lib/scand -workers 4
 //
-// SIGTERM or SIGINT drains gracefully: in-flight tasks checkpoint and
-// stop at their next run-control poll, interrupted jobs settle
-// suspended and resumable, and the process exits once every job is
-// settled and persisted. A second signal exits immediately.
+// SIGTERM or SIGINT drains gracefully: the in-process workers stop each
+// in-flight task at its next run-control poll and release its lease
+// with the final checkpoint, remote leases are dropped (their last
+// heartbeated checkpoint stays), interrupted jobs settle suspended and
+// resumable, and the process exits once every job is settled and
+// persisted. A second signal exits immediately.
 //
 // Use cmd/scanctl to talk to the server, or curl directly (see the
 // README's "Serving jobs" section).
@@ -105,7 +108,7 @@ func main() {
 	}()
 
 	// Drain the job engine first: queued tasks become suspended work,
-	// running tasks checkpoint and stop at their next poll, and settling
+	// in-process tasks checkpoint and release their leases, and settling
 	// closes every live event stream — so the HTTP shutdown afterwards
 	// has no long-lived responses left to wait on.
 	srv.Drain()

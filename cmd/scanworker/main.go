@@ -1,7 +1,7 @@
 // Command scanworker is a remote task worker for a scand job server.
-// It claims leased tasks over HTTP, runs them through the same engine
-// code path as scand's in-process pool, heartbeats each lease with its
-// current checkpoint so a crash costs at most one heartbeat interval
+// It claims leased tasks over HTTP, runs them through the same
+// jobs.Worker as scand's in-process workers, heartbeats each lease with
+// its current checkpoint so a crash costs at most one heartbeat interval
 // of work, and uploads results. Any number of scanworker processes —
 // on the scand host or other machines — drain the same queue.
 //

@@ -118,7 +118,7 @@ func (c *Client) Get(ctx context.Context, id string) (*Status, error) {
 	return &st, nil
 }
 
-// Cancel cancels a job; in-flight tasks checkpoint and stop.
+// Cancel cancels a job; it settles canceled and resumable at once.
 func (c *Client) Cancel(ctx context.Context, id string) (*Status, error) {
 	var st Status
 	if err := c.do(ctx, http.MethodPost, c.url("v1", "jobs", id, "cancel"), nil, &st); err != nil {

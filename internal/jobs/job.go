@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,7 +21,7 @@ import (
 // (generate/translate flows), one fault shard of a circuit (simulate
 // flow), or one stage of a circuit's compaction chain (compact flow:
 // the restoration pass, then each omission window chunk). Workers —
-// in-process or remote scanworker processes — claim tasks from the
+// in-process or remote scanworker processes — lease tasks from the
 // queue; tasks with no dependency between them carry disjoint work, so
 // any number of workers can run one job concurrently, while a compact
 // circuit's chain enqueues each link only when its predecessor
@@ -101,9 +100,9 @@ type job struct {
 	canceled  bool   // explicit cancel request (vs. budget/drain stop)
 	legClosed bool   // no further task of this leg may start
 	resumeLeg bool
-
-	ctx    context.Context
-	cancel context.CancelFunc
+	// deadline is the leg's wall-clock budget end (zero: none); leases
+	// carry the remainder as Assignment.TimeoutMS.
+	deadline time.Time
 
 	rec        *obs.Recorder
 	eventsFile *os.File
@@ -187,17 +186,15 @@ func simWorkload(name string, sp *Spec) (*scan.Circuit, []fault.Fault, error) {
 	return d, fault.Universe(d.Scan, !sp.NoCollapse), nil
 }
 
-// openLeg starts one execution leg (initial or resume): job context
-// with the spec's wall-clock budget, events file in append mode, a
-// Sync recorder tee'd into the live hub, and the pending-task count.
-// Called with the server lock held.
+// openLeg starts one execution leg (initial or resume): the deadline of
+// the spec's wall-clock budget, events file in append mode, a Sync
+// recorder tee'd into the live hub, and the pending-task count. Called
+// with the server lock held.
 func (j *job) openLeg(resume bool) error {
-	ctx, cancel := context.WithCancel(context.Background())
+	j.deadline = time.Time{}
 	if ms := j.status.Spec.TimeoutMS; ms > 0 {
-		cancel()
-		ctx, cancel = context.WithTimeout(context.Background(), time.Duration(ms)*time.Millisecond)
+		j.deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
 	}
-	j.ctx, j.cancel = ctx, cancel
 	j.resumeLeg = resume
 	j.canceled = false
 	j.legClosed = false
@@ -211,7 +208,6 @@ func (j *job) openLeg(resume bool) error {
 	}
 	f, err := os.OpenFile(j.eventsPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		cancel()
 		return err
 	}
 	j.eventsFile = f
@@ -266,78 +262,9 @@ func (j *job) maybeEnqueueLocked(i int) {
 	j.srv.q.push(j.tasks[i])
 }
 
-// runTask executes one claimed task end to end on a worker goroutine.
-func (j *job) runTask(t *task) {
-	j.srv.mu.Lock()
-	ts := &j.status.Tasks[t.idx]
-	if ts.Done || j.legClosed {
-		// Already finished in an earlier leg, or the leg was closed by
-		// a cancel/drain between enqueue and claim.
-		j.srv.mu.Unlock()
-		return
-	}
-	ts.Started = true
-	if j.status.State == StateQueued {
-		j.status.State = StateRunning
-	}
-	resume := j.resumeLeg || t.retried
-	ctx := j.ctx
-	rec := j.rec
-	j.persistStatusLocked()
-	j.srv.mu.Unlock()
-
-	rec.Event("job", "task_start", obs.F("task", ts.Name))
-	sp := &j.status.Spec
-	if err := j.seedChunkCheckpoint(t); err != nil {
-		j.taskFinished(t.idx, &taskResult{Status: runctl.Failed, Error: "seed checkpoint: " + err.Error()})
-		return
-	}
-	ctl := &runctl.Control{
-		Budget: runctl.Budget{
-			Ctx:         ctx,
-			MaxAttempts: sp.MaxAttempts,
-			MaxTrials:   sp.MaxTrials,
-		},
-		Store: runctl.NewFileStore(j.ckptPath(t.idx)),
-		// Compact tasks always resume: their store may hold a
-		// predecessor chunk's checkpoint even on the initial leg, and
-		// an empty store is simply a fresh start.
-		Resume:    resume || sp.Flow == FlowCompact,
-		SaveEvery: 8,
-	}
-	if !resume {
-		// The deterministic-interrupt hook fires on the initial leg
-		// only (and never on a lease-reclaim re-run); a resumed task
-		// must be able to run to completion.
-		ctl.Budget.StopAfterPolls = sp.StopAfterPolls
-	}
-	res := j.execute(t, ctl, rec)
-
-	rec.Event("job", "task_done",
-		obs.F("task", ts.Name), obs.F("status", res.Status.String()))
-	j.taskFinished(t.idx, res)
-}
-
-// execute dispatches a task to its flow, reading the compact flow's
-// restoration mask from the job directory first; the flow itself runs
-// in executeFlow, the code path remote workers share.
-func (j *job) execute(t *task, ctl *runctl.Control, rec obs.Observer) *taskResult {
-	sp := &j.status.Spec
-	restoredKept := ""
-	if sp.Flow == FlowCompact && t.chunk >= 0 {
-		// The restored kept mask is in the (completed, by dependency
-		// order) restore task's persisted result.
-		var rr taskResult
-		if err := readJSONFile(j.taskResultPath(t.restoreIdx), &rr); err != nil {
-			return &taskResult{Status: runctl.Failed, Error: "restore result: " + err.Error()}
-		}
-		restoredKept = rr.Kept
-	}
-	return executeFlow(sp, t.circuit, t.shard, t.chunk, restoredKept, ctl, rec)
-}
-
-// executeFlow runs one task from plain inputs, with no job or server
-// state: the in-process pool and remote scanworkers both end up here.
+// executeFlow runs one leased task from plain inputs, with no job or
+// server state: Worker.runAssignment is its one caller, for in-process
+// and remote workers alike.
 func executeFlow(sp *Spec, circuit string, shard sim.FaultRange, chunk int, restoredKept string, ctl *runctl.Control, rec obs.Observer) *taskResult {
 	switch sp.Flow {
 	case FlowGenerate, FlowTranslate:
@@ -399,11 +326,7 @@ func (j *job) seedChunkCheckpoint(t *task) error {
 	if err != nil {
 		return err
 	}
-	tmp := own + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, own)
+	return writeFileAtomic(own, data)
 }
 
 // flowResult normalizes a core flow's (status, err) pair.
@@ -416,16 +339,11 @@ func flowResult(st runctl.Status, err error, res *taskResult) *taskResult {
 	return res
 }
 
-// taskFinished records one task's outcome, persists it, enqueues any
-// dependents the completion unblocked, and settles the job when it was
-// the last reporting task of the leg. A stopped task's partial state
-// stays in task-<idx>.ckpt for the next resume leg.
-func (j *job) taskFinished(idx int, res *taskResult) {
-	j.srv.mu.Lock()
-	defer j.srv.mu.Unlock()
-	j.taskFinishedLocked(idx, res)
-}
-
+// taskFinishedLocked records one task's outcome, persists it, enqueues
+// any dependents the completion unblocked, and settles the job when it
+// was the last reporting task of the leg. A stopped task's partial
+// state stays in task-<idx>.ckpt for the next resume leg. Called with
+// the server lock held.
 func (j *job) taskFinishedLocked(idx int, res *taskResult) {
 	if res.Status.Done() {
 		// A task is Done only once its result is on disk: dependents and
@@ -455,37 +373,20 @@ func (j *job) taskFinishedLocked(idx int, res *taskResult) {
 	}
 }
 
-// closeLeg marks the leg closed (no unclaimed task may start), cancels
-// the job context so in-flight tasks checkpoint and stop, and settles
-// immediately when nothing is in flight. Used by cancel and drain;
-// callers must first make the queued tasks unclaimable (queue removal
-// or queue close). Called with the server lock held.
+// closeLegLocked marks the leg closed (no unclaimed task may start),
+// drops the job's leases and settles at once: every pending task is
+// then unclaimable (callers remove or close the queue first) or its
+// dropped lease's worker learns of it at its next heartbeat. Its
+// checkpoint stays for the next leg. Called with the server lock held.
 func (j *job) closeLegLocked() {
-	if j.status.State.Terminal() || j.legClosed {
-		j.legClosed = true
+	wasClosed := j.legClosed
+	j.legClosed = true
+	if j.status.State.Terminal() || wasClosed {
 		return
 	}
-	j.legClosed = true
-	j.cancel()
-	// Write off enqueued-but-unclaimed tasks (the caller already made
-	// them unclaimable) and remotely leased ones: a remote worker gets
-	// 410 Gone at its next heartbeat and may never report back, so the
-	// leg cannot wait on it. Its checkpoint stays for the next leg.
-	unclaimed := 0
-	for i := range j.status.Tasks {
-		ts := &j.status.Tasks[i]
-		if j.enq[i] && !ts.Done && !ts.Started {
-			unclaimed++
-		}
-	}
-	j.pending -= unclaimed + j.srv.dropJobLeasesLocked(j)
-	if j.pending <= 0 {
-		j.pending = 0
-		j.settleLocked()
-	}
-	// Otherwise in-flight local tasks observe the cancellation at their
-	// next poll, report via taskFinished, and the last one settles the
-	// leg.
+	j.srv.dropJobLeasesLocked(j)
+	j.pending = 0
+	j.settleLocked()
 }
 
 // settleLocked closes out the current leg once no task remains
@@ -525,7 +426,6 @@ func (j *job) settleLocked() {
 	j.rec.Close()
 	j.eventsFile.Close()
 	j.hub.close()
-	j.cancel()
 	j.persistStatusLocked()
 	close(j.done)
 }
@@ -625,22 +525,27 @@ func (h *hub) reopen() {
 	h.closed = false
 }
 
-// writeJSONFile writes v as indented JSON via temp-file-plus-rename.
+// writeJSONFile writes v as indented JSON via writeFileAtomic.
 func writeJSONFile(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
+	return writeFileAtomic(path, append(data, '\n'))
+}
+
+// writeFileAtomic writes data via temp-file-plus-rename, removing the
+// temp file when either step fails.
+func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // readJSONFile decodes one JSON file into v.

@@ -1,34 +1,101 @@
 package jobs
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runctl"
 )
 
-// The worker-claim protocol lets scanworker processes on other machines
-// drain the same queue the in-process pool does. A claim leases one
-// task under a TTL; the worker heartbeats to renew, uploading its
-// current checkpoint bytes so the server always holds the task's latest
-// resumable state. A worker that stops heartbeating — crashed, killed,
-// partitioned — loses the lease to the janitor, which re-queues the
-// task marked retried: the next claimant (local or remote) resumes from
-// the uploaded checkpoint, and because every engine's resume is
-// bit-identical, the job's final result is byte-identical to one
-// computed without the crash. Late uploads under a reclaimed lease get
-// ErrLeaseGone (HTTP 410) and are discarded, so a slow-but-alive worker
-// can never double-report a task.
+// The worker-claim protocol is the only way a task runs: the server's
+// in-process workers speak it by direct calls (localTransport), and
+// scanworker processes on other machines speak it over HTTP (*Client).
+// A claim leases one task under a TTL; the worker heartbeats to renew,
+// uploading its current checkpoint bytes so the server always holds the
+// task's latest resumable state. A worker that stops heartbeating —
+// crashed, killed, partitioned — loses the lease to the janitor, which
+// re-queues the task marked retried: the next claimant (local or
+// remote) resumes from the uploaded checkpoint, and because every
+// engine's resume is bit-identical, the job's final result is
+// byte-identical to one computed without the crash. Late uploads under
+// a reclaimed lease get ErrLeaseGone (HTTP 410) and are discarded, so a
+// slow-but-alive worker can never double-report a task.
 
-// lease is one remotely claimed task's server-side record.
+// lease is one claimed task's server-side record.
 type lease struct {
 	token   string
 	worker  string
 	t       *task
 	expires time.Time
+	// gone is set the moment the lease ends (completed, released,
+	// reclaimed or dropped by cancel/drain). leaseObserver holds goneMu
+	// across each forwarded event, so once gone is set no event of the
+	// run can still reach the job's recorder.
+	goneMu sync.Mutex
+	gone   bool
+}
+
+// leaseTransport is the worker's side of the lease protocol. *Client
+// implements it over HTTP; localTransport by direct calls on a Server.
+type leaseTransport interface {
+	Claim(ctx context.Context, worker string) (*Assignment, error)
+	Heartbeat(ctx context.Context, token string, ckpt []byte) (time.Duration, error)
+	CompleteClaim(ctx context.Context, token string, res *taskResult, ckpt []byte) error
+	ReleaseClaim(ctx context.Context, token string, ckpt []byte) error
+}
+
+// localTransport is the lease protocol of the in-process workers
+// NewServer starts. Its claim blocks on the queue instead of polling,
+// so an in-process task starts the moment it is enqueued.
+type localTransport struct{ s *Server }
+
+func (l localTransport) Claim(_ context.Context, worker string) (*Assignment, error) {
+	return l.s.claim(worker, l.s.q.pop)
+}
+
+func (l localTransport) Heartbeat(_ context.Context, token string, ckpt []byte) (time.Duration, error) {
+	return l.s.HeartbeatLease(token, ckpt)
+}
+
+func (l localTransport) CompleteClaim(_ context.Context, token string, res *taskResult, ckpt []byte) error {
+	return l.s.CompleteLease(token, res, ckpt)
+}
+
+func (l localTransport) ReleaseClaim(_ context.Context, token string, ckpt []byte) error {
+	return l.s.ReleaseLease(token, ckpt)
+}
+
+// leaseObserver feeds an in-process task's flow events into its job's
+// recorder for as long as the lease lives, so a run abandoned by a
+// cancel cannot write into a later leg's stream.
+type leaseObserver struct {
+	obs.Observer
+	l *lease
+}
+
+func (o leaseObserver) Event(phase, name string, fields ...obs.Field) {
+	o.l.goneMu.Lock()
+	defer o.l.goneMu.Unlock()
+	if !o.l.gone {
+		o.Observer.Event(phase, name, fields...)
+	}
+}
+
+// observeLease returns the observer an in-process worker runs a leased
+// task under (nil when the lease is already gone).
+func (s *Server) observeLease(a *Assignment) obs.Observer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, ok := s.leases[a.Lease]
+	if !ok {
+		return nil
+	}
+	return leaseObserver{Observer: l.t.job.rec, l: l}
 }
 
 // claimRequest is the claim endpoint's body.
@@ -81,6 +148,12 @@ type Assignment struct {
 // ClaimTask leases the next claimable task to worker. A nil Assignment
 // (and nil error) means the queue has nothing claimable right now.
 func (s *Server) ClaimTask(worker string) (*Assignment, error) {
+	return s.claim(worker, s.q.tryPop)
+}
+
+// claim pops tasks with pop until one can be leased to worker. A nil
+// Assignment (and nil error) means pop found nothing.
+func (s *Server) claim(worker string, pop func() (*task, bool)) (*Assignment, error) {
 	if worker == "" {
 		return nil, &SpecError{Field: "worker", Reason: "empty worker name"}
 	}
@@ -91,15 +164,19 @@ func (s *Server) ClaimTask(worker string) (*Assignment, error) {
 			return nil, ErrDraining
 		}
 		s.mu.Unlock()
-		t, ok := s.q.tryPop()
+		t, ok := pop()
 		if !ok {
 			return nil, nil
+		}
+		if hook := s.testTaskStart; hook != nil {
+			hook(t)
 		}
 		if a, live := s.leaseTask(worker, t); live {
 			return a, nil
 		}
-		// The claimed task belonged to a closed or finished leg; its
-		// quota slot was returned — keep scanning.
+		// The claimed task belonged to a closed or finished leg, or the
+		// server began draining; its quota slot was returned — keep
+		// scanning.
 	}
 }
 
@@ -112,7 +189,7 @@ func (s *Server) leaseTask(worker string, t *task) (*Assignment, bool) {
 	j := t.job
 	tenant := j.status.Spec.Tenant
 	ts := &j.status.Tasks[t.idx]
-	if ts.Done || j.legClosed {
+	if ts.Done || j.legClosed || s.draining {
 		s.q.release(tenant)
 		return nil, false
 	}
@@ -133,8 +210,8 @@ func (s *Server) leaseTask(worker string, t *task) (*Assignment, bool) {
 	if !resume {
 		a.StopAfterPolls = sp.StopAfterPolls
 	}
-	if deadline, ok := j.ctx.Deadline(); ok {
-		ms := time.Until(deadline).Milliseconds()
+	if !j.deadline.IsZero() {
+		ms := time.Until(j.deadline).Milliseconds()
 		if ms < 1 {
 			ms = 1
 		}
@@ -195,59 +272,71 @@ func (s *Server) HeartbeatLease(token string, ckpt []byte) (time.Duration, error
 }
 
 // CompleteLease accepts a leased task's final result (and final
-// checkpoint bytes, which the next chunk of a compact chain consumes),
-// finishing the task exactly as a local worker would.
+// checkpoint bytes, which the next chunk of a compact chain consumes)
+// and finishes the task. A checkpoint that cannot be persisted fails
+// the task: its successor would otherwise resume from a stale store.
 func (s *Server) CompleteLease(token string, res *taskResult, ckpt []byte) error {
 	s.mu.Lock()
-	l, ok := s.leases[token]
-	if !ok {
-		s.mu.Unlock()
-		return ErrLeaseGone
+	defer s.mu.Unlock()
+	l, err := s.endLeaseLocked(token)
+	if err != nil {
+		return err
 	}
-	delete(s.leases, token)
-	t := l.t
-	j := t.job
-	tenant := j.status.Spec.Tenant
-	if len(ckpt) > 0 {
-		if err := writeFileAtomic(j.ckptPath(t.idx), ckpt); err != nil {
-			s.mu.Unlock()
-			s.q.release(tenant)
-			return err
-		}
+	j := l.t.job
+	if err = l.persistCheckpoint(ckpt); err != nil {
+		res = &taskResult{Status: runctl.Failed, Error: err.Error()}
 	}
 	j.rec.Event("job", "task_done",
-		obs.F("task", j.status.Tasks[t.idx].Name),
+		obs.F("task", j.status.Tasks[l.t.idx].Name),
 		obs.F("status", res.Status.String()), obs.F("worker", l.worker))
-	j.taskFinishedLocked(t.idx, res)
-	s.mu.Unlock()
-	s.q.release(tenant)
-	return nil
+	j.taskFinishedLocked(l.t.idx, res)
+	return err
 }
 
 // ReleaseLease hands a leased task back (graceful worker shutdown): the
 // uploaded checkpoint is persisted and the task re-queued as retried,
-// so the next claimant resumes where this worker stopped.
+// so the next claimant resumes where this worker stopped. A checkpoint
+// that cannot be persisted fails the task instead, as in CompleteLease.
 func (s *Server) ReleaseLease(token string, ckpt []byte) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, err := s.endLeaseLocked(token)
+	if err != nil {
+		return err
+	}
+	if err = l.persistCheckpoint(ckpt); err != nil {
+		l.t.job.taskFinishedLocked(l.t.idx, &taskResult{Status: runctl.Failed, Error: err.Error()})
+	} else {
+		s.requeueLocked(l, "task_released")
+	}
+	return err
+}
+
+// endLeaseLocked removes a live lease, marks it gone and returns its
+// tenant's quota slot. Called with the server lock held.
+func (s *Server) endLeaseLocked(token string) (*lease, error) {
 	l, ok := s.leases[token]
 	if !ok {
-		s.mu.Unlock()
-		return ErrLeaseGone
+		return nil, ErrLeaseGone
 	}
 	delete(s.leases, token)
-	t := l.t
-	j := t.job
-	tenant := j.status.Spec.Tenant
-	if len(ckpt) > 0 {
-		if err := writeFileAtomic(j.ckptPath(t.idx), ckpt); err != nil {
-			s.mu.Unlock()
-			s.q.release(tenant)
-			return err
-		}
+	l.goneMu.Lock()
+	l.gone = true
+	l.goneMu.Unlock()
+	s.q.release(l.t.job.status.Spec.Tenant)
+	return l, nil
+}
+
+// persistCheckpoint writes uploaded checkpoint bytes (none: no-op) to
+// the task's store, naming the path on failure.
+func (l *lease) persistCheckpoint(ckpt []byte) error {
+	if len(ckpt) == 0 {
+		return nil
 	}
-	s.requeueLocked(l, "task_released")
-	s.mu.Unlock()
-	s.q.release(tenant)
+	path := l.t.job.ckptPath(l.t.idx)
+	if err := writeFileAtomic(path, ckpt); err != nil {
+		return fmt.Errorf("persist checkpoint %s: %w", path, err)
+	}
 	return nil
 }
 
@@ -268,19 +357,14 @@ func (s *Server) requeueLocked(l *lease, event string) {
 }
 
 // dropJobLeasesLocked discards every lease of one job (cancel/drain
-// closing the leg) and returns how many tasks were written off. Called
-// with the server lock held.
-func (s *Server) dropJobLeasesLocked(j *job) int {
-	n := 0
+// closing the leg). Its workers get ErrLeaseGone at their next
+// heartbeat and abandon the run. Called with the server lock held.
+func (s *Server) dropJobLeasesLocked(j *job) {
 	for token, l := range s.leases {
-		if l.t.job != j {
-			continue
+		if l.t.job == j {
+			s.endLeaseLocked(token)
 		}
-		delete(s.leases, token)
-		s.q.release(j.status.Spec.Tenant)
-		n++
 	}
-	return n
 }
 
 // janitor reclaims expired leases until Drain stops it.
@@ -305,19 +389,13 @@ func (s *Server) janitor() {
 // reclaimExpired re-queues every task whose lease ran out of heartbeat.
 func (s *Server) reclaimExpired() {
 	now := s.testNow()
-	var tenants []string
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for token, l := range s.leases {
-		if l.expires.After(now) {
-			continue
+		if !l.expires.After(now) {
+			s.endLeaseLocked(token)
+			s.requeueLocked(l, "task_reclaimed")
 		}
-		delete(s.leases, token)
-		s.requeueLocked(l, "task_reclaimed")
-		tenants = append(tenants, l.t.job.status.Spec.Tenant)
-	}
-	s.mu.Unlock()
-	for _, tn := range tenants {
-		s.q.release(tn)
 	}
 }
 
@@ -350,13 +428,4 @@ func (s *Server) WorkersView() []WorkerInfo {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Lease < out[b].Lease })
 	return out
-}
-
-// writeFileAtomic writes raw bytes via temp-file-plus-rename.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

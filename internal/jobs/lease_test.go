@@ -6,14 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/runctl"
-	"repro/internal/sim"
 )
 
 // TestServerCompactFlow: a compact job completes with per-circuit
@@ -112,7 +108,7 @@ func TestWorkerClaimProtocol(t *testing.T) {
 // every later touch of the token gets ErrLeaseGone (HTTP 410 over the
 // wire).
 func TestLeaseLifecycle(t *testing.T) {
-	s, c := testServer(t, Options{Workers: -1})
+	_, c := testServer(t, Options{Workers: -1})
 	ctx := context.Background()
 	if _, err := c.Submit(ctx, Spec{Flow: FlowGenerate, Circuits: []string{"s27"}, Seed: 3}); err != nil {
 		t.Fatal(err)
@@ -141,17 +137,15 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 
 	// Run the task for real and upload the result.
-	path := filepath.Join(t.TempDir(), "manual.ckpt")
-	ctl := &runctl.Control{
-		Budget: runctl.Budget{StopAfterPolls: a.StopAfterPolls},
-		Store:  runctl.NewFileStore(path), Resume: a.Resume, SaveEvery: 8,
-	}
-	res := executeFlow(&a.Spec, a.Circuit, sim.FaultRange{Start: a.ShardStart, End: a.ShardEnd},
-		a.Chunk, a.RestoredKept, ctl, nil)
-	ckpt, _ := os.ReadFile(path)
-	if err := c.CompleteClaim(ctx, a.Lease, res, ckpt); err != nil {
+	w, err := newWorker(WorkerOptions{Name: "manual", DataDir: t.TempDir(), Logf: t.Logf}, c)
+	if err != nil {
 		t.Fatal(err)
 	}
+	w.runAssignment(ctx, a)
+	if final := waitTerminal(t, c, a.Job); final.State != StateComplete {
+		t.Fatalf("job settled %s (error %q)", final.State, final.Error)
+	}
+	res := &taskResult{Status: runctl.Complete}
 	if _, err := c.Heartbeat(ctx, a.Lease, nil); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("heartbeat after completion = %v, want ErrLeaseGone", err)
 	}
@@ -161,7 +155,16 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err := c.CompleteClaim(ctx, a.Lease, res, nil); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("double completion = %v, want ErrLeaseGone", err)
 	}
-	_ = s
+}
+
+// crashTransport is a worker transport that dies at the end of its
+// run: the final checkpoint still reaches the server as a last
+// heartbeat, but the result upload is lost.
+type crashTransport struct{ *Client }
+
+func (c crashTransport) CompleteClaim(ctx context.Context, token string, _ *taskResult, ckpt []byte) error {
+	_, err := c.Heartbeat(ctx, token, ckpt)
+	return err
 }
 
 // TestLeaseReclaimCrashResume is the acceptance scenario: a worker
@@ -191,35 +194,18 @@ func TestLeaseReclaimCrashResume(t *testing.T) {
 	if a.Name != "s27/restore" {
 		t.Fatalf("first claim = %q, want s27/restore", a.Name)
 	}
-	dir := t.TempDir()
-	runTask := func(a *Assignment, polls int64) (*taskResult, []byte) {
-		path := filepath.Join(dir, a.Name[strings.LastIndexByte(a.Name, '/')+1:]+".ckpt")
-		os.Remove(path)
-		if len(a.Checkpoint) > 0 {
-			if err := os.WriteFile(path, a.Checkpoint, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctl := &runctl.Control{
-			Budget: runctl.Budget{StopAfterPolls: polls},
-			Store:  runctl.NewFileStore(path), Resume: a.Resume, SaveEvery: 1,
-		}
-		res := executeFlow(&a.Spec, a.Circuit, sim.FaultRange{Start: a.ShardStart, End: a.ShardEnd},
-			a.Chunk, a.RestoredKept, ctl, nil)
-		ckpt, _ := os.ReadFile(path)
-		return res, ckpt
-	}
-	res, ckpt := runTask(a, 0)
-	if res.Status != runctl.Complete {
-		t.Fatalf("restore stage status %v (error %q)", res.Status, res.Error)
-	}
-	if err := c.CompleteClaim(ctx, a.Lease, res, ckpt); err != nil {
+	first, err := newWorker(WorkerOptions{Name: "crashy", DataDir: t.TempDir(), Logf: t.Logf}, c)
+	if err != nil {
 		t.Fatal(err)
+	}
+	first.runAssignment(ctx, a)
+	if got, err := c.Get(ctx, st.ID); err != nil || !got.Tasks[0].Done {
+		t.Fatalf("restore stage after upload: %+v, %v", got, err)
 	}
 
 	// Phase 2: claim the first omission chunk, stop after a couple of
 	// polls (mid-share), heartbeat the partial checkpoint — then crash:
-	// no release, no further heartbeats.
+	// no result, no release, no further heartbeats.
 	a, err = c.Claim(ctx, "crashy")
 	if err != nil || a == nil {
 		t.Fatalf("claim omit chunk: %+v, %v", a, err)
@@ -230,13 +216,12 @@ func TestLeaseReclaimCrashResume(t *testing.T) {
 	if a.RestoredKept == "" {
 		t.Fatal("omit chunk assignment lacks the restored kept mask")
 	}
-	res, ckpt = runTask(a, 2)
-	if !res.Status.Stopped() && res.Status != runctl.Complete {
-		t.Fatalf("interrupted chunk status %v", res.Status)
-	}
-	if _, err := c.Heartbeat(ctx, a.Lease, ckpt); err != nil {
+	a.StopAfterPolls = 2
+	crashing, err := newWorker(WorkerOptions{Name: "crashy", DataDir: t.TempDir(), Logf: t.Logf}, crashTransport{c})
+	if err != nil {
 		t.Fatal(err)
 	}
+	crashing.runAssignment(ctx, a)
 
 	// The janitor reclaims the dead worker's lease once it expires;
 	// jump the server's clock past the TTL instead of waiting a minute.
@@ -248,10 +233,10 @@ func TestLeaseReclaimCrashResume(t *testing.T) {
 		t.Fatalf("leases after reclaim = %+v, %v", workers, err)
 	}
 	// Late work from the dead worker is refused.
-	if _, err := c.Heartbeat(ctx, a.Lease, ckpt); !errors.Is(err, ErrLeaseGone) {
+	if _, err := c.Heartbeat(ctx, a.Lease, nil); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("heartbeat after reclaim = %v, want ErrLeaseGone", err)
 	}
-	if err := c.CompleteClaim(ctx, a.Lease, res, ckpt); !errors.Is(err, ErrLeaseGone) {
+	if err := c.CompleteClaim(ctx, a.Lease, &taskResult{Status: runctl.Complete}, nil); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("upload after reclaim = %v, want ErrLeaseGone", err)
 	}
 	s.mu.Lock()

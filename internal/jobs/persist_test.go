@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/runctl"
 )
@@ -41,6 +42,60 @@ func TestTaskResultWriteFailureFailsTask(t *testing.T) {
 	}
 	if !strings.Contains(ts.Error, resultPath) || !strings.Contains(st.Error, resultPath) {
 		t.Fatalf("task error %q / job error %q do not name %s", ts.Error, st.Error, resultPath)
+	}
+}
+
+// TestCheckpointWriteFailureFailsTask: when the server cannot persist a
+// finished task's uploaded checkpoint, the task must end Failed with an
+// error naming the path — not vanish with its lease, leaving the job
+// running forever. A non-empty directory squatting on task-0.ckpt makes
+// the rename fail; the temp file must not be left behind.
+func TestCheckpointWriteFailureFailsTask(t *testing.T) {
+	s, c := testServer(t, Options{Workers: -1})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, Spec{Flow: FlowCompact, Circuits: []string{"s27"}, Seed: 5, SeqLen: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(s.dataDir, st.ID, "task-0.ckpt")
+	if err := os.MkdirAll(filepath.Join(ckpt, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerOptions{
+		Server: c.Base, Name: "w1", DataDir: t.TempDir(),
+		Poll: 10 * time.Millisecond, HTTP: c.HTTP, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() { defer close(done); w.Run(wctx) }()
+	defer func() { cancel(); <-done }()
+
+	settled := make(chan error, 1)
+	go func() { settled <- s.Wait(st.ID) }()
+	select {
+	case <-settled:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never settled: the task was stranded")
+	}
+	final, err := s.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateFailed {
+		t.Fatalf("job settled %s, want failed", final.State)
+	}
+	ts := final.Tasks[0]
+	if ts.Done || ts.Status != runctl.Failed {
+		t.Fatalf("task done=%v status=%v, want not done and failed", ts.Done, ts.Status)
+	}
+	if !strings.Contains(ts.Error, ckpt) || !strings.Contains(final.Error, ckpt) {
+		t.Fatalf("task error %q / job error %q do not name %s", ts.Error, final.Error, ckpt)
+	}
+	if _, err := os.Stat(ckpt + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("%s.tmp left behind (stat err %v)", ckpt, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,11 +37,14 @@ type Options struct {
 	DataDir string
 	// Workers is the in-process task worker count (0: GOMAXPROCS;
 	// negative: none — every task is served to remote scanworker
-	// processes through the claim API). Each worker claims one task at
-	// a time from the tenant-fair queue, so up to Workers tasks —
-	// including disjoint fault shards of one job — run concurrently.
+	// processes through the claim API). Each in-process worker is a
+	// Worker named local-N that leases one task at a time from the
+	// tenant-fair queue through direct calls, keeping its scratch
+	// checkpoints under <DataDir>/workers/local-N, so up to Workers
+	// tasks — including disjoint fault shards of one job — run
+	// concurrently.
 	Workers int
-	// LeaseTTL bounds how long a remotely claimed task may go without a
+	// LeaseTTL bounds how long a claimed task may go without a
 	// heartbeat before the server reclaims it and re-queues the task
 	// from its last uploaded checkpoint (0: 15s).
 	LeaseTTL time.Duration
@@ -53,7 +57,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Server owns the job table, the tenant-fair queue and the worker pool.
+// Server owns the job table, the tenant-fair queue, the lease table and
+// the in-process workers.
 // Create with NewServer, expose over HTTP with Handler, stop with
 // Drain.
 type Server struct {
@@ -66,11 +71,12 @@ type Server struct {
 	nextID   int
 	draining bool
 
-	q       *queue
-	wg      sync.WaitGroup
-	workers int
+	q           *queue
+	wg          sync.WaitGroup // in-process workers
+	workers     int
+	stopWorkers context.CancelFunc
 
-	// Remote-claim lease state (guarded by mu).
+	// Lease state (guarded by mu).
 	leases   map[string]*lease
 	leaseSeq int
 	leaseTTL time.Duration
@@ -79,7 +85,8 @@ type Server struct {
 	janitorDone chan struct{}
 
 	// testTaskStart, when set (white-box tests only), runs on the
-	// worker goroutine after a task is claimed and before it starts.
+	// claiming goroutine after a task is popped and before its lease is
+	// registered.
 	testTaskStart func(*task)
 	// testNow, when set (white-box tests only), replaces time.Now for
 	// lease expiry.
@@ -87,7 +94,7 @@ type Server struct {
 }
 
 // NewServer builds a Server over dataDir, reloads any persisted jobs,
-// and starts the worker pool.
+// and starts the in-process workers.
 func NewServer(opts Options) (*Server, error) {
 	if opts.DataDir == "" {
 		return nil, errors.New("jobs: Options.DataDir is required")
@@ -126,31 +133,32 @@ func NewServer(opts Options) (*Server, error) {
 	if err := s.loadExisting(); err != nil {
 		return nil, err
 	}
-	for w := 0; w < workers; w++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	go s.janitor()
+	ctx, stop := context.WithCancel(context.Background())
+	s.stopWorkers = stop
+	for i := 1; i <= workers; i++ {
+		name := fmt.Sprintf("local-%d", i)
+		w, err := newWorker(WorkerOptions{
+			Name:    name,
+			DataDir: filepath.Join(s.dataDir, "workers", name),
+			Logf:    logf,
+		}, localTransport{s})
+		if err != nil {
+			s.Drain()
+			return nil, err
+		}
+		w.observe = s.observeLease
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			w.Run(ctx)
+		}()
+	}
 	return s, nil
 }
 
-// Workers returns the worker-pool size.
+// Workers returns the in-process worker count.
 func (s *Server) Workers() int { return s.workers }
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		t, ok := s.q.pop()
-		if !ok {
-			return
-		}
-		if hook := s.testTaskStart; hook != nil {
-			hook(t)
-		}
-		t.job.runTask(t)
-		s.q.release(t.job.status.Spec.Tenant)
-	}
-}
 
 // loadExisting reloads persisted jobs from the data directory. A job
 // whose record says queued or running was mid-flight when the previous
@@ -281,10 +289,11 @@ func (s *Server) List() []*Status {
 	return out
 }
 
-// Cancel stops a job: queued tasks are withdrawn, in-flight tasks
-// observe the cancellation at their next run-control poll, checkpoint
-// and stop. The job settles as canceled and resumable. Canceling a
-// terminal job is a no-op.
+// Cancel stops a job: queued tasks are withdrawn and in-flight leases
+// are dropped, so the job settles as canceled and resumable at once.
+// Each dropped lease's worker learns of the cancel at its next
+// heartbeat and discards its run; a resume continues from the last
+// checkpoint the worker uploaded. Canceling a terminal job is a no-op.
 func (s *Server) Cancel(id string) (*Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,22 +415,20 @@ func (s *Server) Checkpoint(id, name string) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// Drain gracefully stops the server: new submissions and resumes are
-// rejected, every running job's context is canceled so in-flight tasks
-// checkpoint and stop at their next poll, workers exit once the queue
-// is closed, and every interrupted job settles suspended (or canceled)
+// Drain gracefully stops the server: new submissions, resumes and
+// claims are rejected, the queue closes, and the in-process workers are
+// canceled — each in-flight task checkpoints at its next run-control
+// poll and is released with that checkpoint, exactly as a remote
+// worker does on SIGTERM. Once every in-process worker has exited, the
+// legs close and every interrupted job settles suspended (or canceled)
 // with Resumable set. Drain returns when all jobs are settled; it is
 // the SIGTERM path of cmd/scand.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	alreadyDraining := s.draining
 	s.draining = true
-	for _, j := range s.jobs {
-		if !j.status.State.Terminal() {
-			j.cancel()
-		}
-	}
 	s.mu.Unlock()
+	s.stopWorkers()
 	if alreadyDraining {
 		s.wg.Wait()
 		return
@@ -488,6 +495,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 //	POST /v1/worker/claims/{token}/result     upload the finished result
 //	POST /v1/worker/claims/{token}/release    hand the task back (re-queued)
 //	GET  /v1/workers                          live lease/fleet view
+//
+// Worker bodies decode as strictly as specs: unknown fields and
+// trailing data are typed 400s.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -564,8 +574,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/claim", func(w http.ResponseWriter, r *http.Request) {
 		var req claimRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, &SpecError{Field: "body", Reason: decodeReason(err)})
+		if err := decodeStrict(r.Body, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		a, err := s.ClaimTask(req.Worker)
@@ -581,8 +591,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/claims/{token}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseUpdate
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, &SpecError{Field: "body", Reason: decodeReason(err)})
+		if err := decodeStrict(r.Body, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		ttl, err := s.HeartbeatLease(r.PathValue("token"), req.Checkpoint)
@@ -594,8 +604,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/claims/{token}/result", func(w http.ResponseWriter, r *http.Request) {
 		var req resultUpload
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, &SpecError{Field: "body", Reason: decodeReason(err)})
+		if err := decodeStrict(r.Body, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		if req.Result == nil {
@@ -610,8 +620,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/worker/claims/{token}/release", func(w http.ResponseWriter, r *http.Request) {
 		var req leaseUpdate
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, &SpecError{Field: "body", Reason: decodeReason(err)})
+		if err := decodeStrict(r.Body, &req); err != nil {
+			httpError(w, err)
 			return
 		}
 		if err := s.ReleaseLease(r.PathValue("token"), req.Checkpoint); err != nil {

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -99,11 +102,12 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// The streamed events are a schema-valid obs stream ending in a
-	// snapshot, and mention the job lifecycle markers.
+	// snapshot, and mention the job lifecycle markers: the in-process
+	// worker holds a lease like any remote one.
 	if _, err := obs.Validate(bytes.NewReader(events.Bytes())); err != nil {
 		t.Fatalf("event stream invalid: %v\n%s", err, events.Bytes())
 	}
-	for _, marker := range []string{"task_start", "task_done", "settled"} {
+	for _, marker := range []string{"task_claimed", "task_done", `"worker":"local-`, "settled"} {
 		if !strings.Contains(events.String(), marker) {
 			t.Fatalf("event stream lacks %q:\n%s", marker, events.String())
 		}
@@ -278,51 +282,85 @@ func TestServerCancelResume(t *testing.T) {
 	}
 }
 
-// TestServerDrainAndRestart is the SIGTERM path: drain interrupts an
-// in-flight job, which settles suspended with checkpoints on disk; a
-// fresh server over the same data dir reloads it and resumes it to a
-// result bit-identical to an uninterrupted run — surviving both the
-// drain and the process boundary.
-func TestServerDrainAndRestart(t *testing.T) {
-	spec := Spec{Flow: FlowSimulate, Circuits: []string{"s298"}, Seed: 11, SeqLen: 64, Partitions: 2}
-
-	_, ref := testServer(t, Options{Workers: 2})
-	want := completeJob(t, ref, spec)
-
-	dataDir := t.TempDir()
-	s1, err := NewServer(Options{DataDir: dataDir, Workers: 2, Logf: t.Logf})
+// waitMidRun waits until a local worker of s holds the lease on job
+// id's omission chunk task and the chunk has finished its first window
+// — which the in-process worker reports into the job's event stream —
+// and returns that lease and the task's index.
+func waitMidRun(t *testing.T, s *Server, id, task string) (WorkerInfo, int) {
+	t.Helper()
+	st, err := s.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	claimed := make(chan struct{}, 4)
-	release := make(chan struct{})
-	s1.testTaskStart = func(*task) {
-		claimed <- struct{}{}
-		<-release
+	idx := -1
+	for i, ts := range st.Tasks {
+		if ts.Name == task {
+			idx = i
+		}
+	}
+	if idx < 0 {
+		t.Fatalf("job %s has no task %q", id, task)
+	}
+	events := filepath.Join(s.dataDir, id, "events.jsonl")
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, l := range s.WorkersView() {
+			if l.Job != id || l.Task != task {
+				continue
+			}
+			if data, _ := os.ReadFile(events); bytes.Contains(data, []byte(`"phase":"omit","name":"window"`)) {
+				return l, idx
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("task %s of job %s never got mid-run", task, id)
+	return WorkerInfo{}, 0
+}
+
+// TestServerDrainAndRestart is the SIGTERM path: drain interrupts an
+// in-flight compact task, whose worker releases it with its final
+// checkpoint, and the job settles suspended; a fresh server over the
+// same data dir reloads it and resumes it to a result bit-identical to
+// an uninterrupted run — surviving both the drain and the process
+// boundary.
+func TestServerDrainAndRestart(t *testing.T) {
+	spec := Spec{Flow: FlowCompact, Circuits: []string{"s298"}, Seed: 11, SeqLen: 64}
+
+	_, ref := testServer(t, Options{Workers: 1})
+	want := completeJob(t, ref, spec)
+
+	// A one-minute TTL keeps the worker from heartbeating before the
+	// drain: the task's server-side checkpoint can only come from the
+	// release.
+	dataDir := t.TempDir()
+	s1, err := NewServer(Options{DataDir: dataDir, Workers: 1, LeaseTTL: time.Minute, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
 	}
 	st, err := s1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-claimed // at least one worker holds a task
-	s1.mu.Lock()
-	ctxDone := s1.jobs[st.ID].ctx.Done()
-	s1.mu.Unlock()
-	drained := make(chan struct{})
-	go func() {
-		s1.Drain()
-		close(drained)
-	}()
-	<-ctxDone      // the drain has canceled the job's context...
-	close(release) // ...so workers proceed into canceled controls and stop
-	<-drained
+	_, idx := waitMidRun(t, s1, st.ID, "s298/omit-0")
+	ckpt := filepath.Join(dataDir, st.ID, fmt.Sprintf("task-%d.ckpt", idx))
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("%s exists before the drain (err %v)", ckpt, err)
+	}
+	s1.Drain()
 
 	after, err := s1.Get(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !after.State.Terminal() || !after.Resumable || after.State == StateComplete {
-		t.Fatalf("drained job settled %s resumable=%v, want an interrupted resumable state", after.State, after.Resumable)
+	if after.State != StateSuspended || !after.Resumable {
+		t.Fatalf("drained job settled %s resumable=%v, want suspended+resumable", after.State, after.Resumable)
+	}
+	if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
+		t.Fatalf("released task left no checkpoint at %s (err %v)", ckpt, err)
+	}
+	if workers := s1.WorkersView(); len(workers) != 0 {
+		t.Fatalf("leases after drain: %+v", workers)
 	}
 
 	// "Restart": a new server over the same data dir must reload the
@@ -332,11 +370,8 @@ func TestServerDrainAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.State != StateSuspended && loaded.State != StateCanceled {
-		t.Fatalf("reloaded job in state %s", loaded.State)
-	}
-	if !loaded.Resumable {
-		t.Fatal("reloaded job not resumable")
+	if loaded.State != StateSuspended || !loaded.Resumable {
+		t.Fatalf("reloaded job %s resumable=%v, want suspended+resumable", loaded.State, loaded.Resumable)
 	}
 	if _, err := c.Resume(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
@@ -351,6 +386,51 @@ func TestServerDrainAndRestart(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-drain-and-restart result differs from uninterrupted run")
+	}
+}
+
+// TestServerCancelMidRun cancels a job while its one in-process worker
+// is mid-task: the leg settles canceled and resumable at once, without
+// waiting for the worker; the abandoned run's late result upload is
+// refused; and the resumed job's result bytes equal an undisturbed
+// run's.
+func TestServerCancelMidRun(t *testing.T) {
+	spec := Spec{Flow: FlowCompact, Circuits: []string{"s298"}, Seed: 7, SeqLen: 64}
+
+	_, ref := testServer(t, Options{Workers: 1})
+	want := completeJob(t, ref, spec)
+
+	s, c := testServer(t, Options{Workers: 1, LeaseTTL: 300 * time.Millisecond})
+	ctx := context.Background()
+	st, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _ := waitMidRun(t, s, st.ID, "s298/omit-0")
+	canceled, err := c.Cancel(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canceled.State != StateCanceled || !canceled.Resumable {
+		t.Fatalf("cancel settled %s resumable=%v, want canceled+resumable", canceled.State, canceled.Resumable)
+	}
+	if err := c.CompleteClaim(ctx, l.Lease, &taskResult{Status: runctl.Complete}, nil); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("late upload from the canceled run = %v, want ErrLeaseGone", err)
+	}
+
+	if _, err := c.Resume(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, c, st.ID)
+	if final.State != StateComplete {
+		t.Fatalf("resumed job settled %s (error %q), want complete", final.State, final.Error)
+	}
+	got, err := c.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("post-cancel result differs from undisturbed run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
 	}
 }
 
@@ -399,6 +479,26 @@ func TestServerHTTPErrors(t *testing.T) {
 	}
 	_, err = c.Resume(ctx, st.ID)
 	wantCode(err, http.StatusConflict)
+
+	// 400: worker bodies decode strictly — an unknown field or trailing
+	// data is refused before any lease is looked up.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/worker/claim", `{"worker":"w","bogus":1}`},
+		{"/v1/worker/claims/lease-000001/heartbeat", `{"checkpoint":null} {}`},
+		{"/v1/worker/claims/lease-000001/result", `{"result":{"status":0},"extra":true}`},
+		{"/v1/worker/claims/lease-000001/release", `{} trailing`},
+	} {
+		resp, err := c.HTTP.Post(c.Base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "body") {
+			t.Fatalf("POST %s %s: status %d error %q, want a 400 naming the body", tc.path, tc.body, resp.StatusCode, body.Error)
+		}
+	}
 
 	// Health endpoint.
 	hr, err := c.HTTP.Get(c.Base + "/healthz")

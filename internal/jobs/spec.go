@@ -198,13 +198,8 @@ func (s *Spec) Validate() error {
 // accepts submissions through.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, &SpecError{Field: "body", Reason: decodeReason(err)}
-	}
-	if dec.More() {
-		return Spec{}, &SpecError{Field: "body", Reason: "trailing data after the spec object"}
+	if err := decodeStrict(r, &s); err != nil {
+		return Spec{}, err
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -212,12 +207,23 @@ func DecodeSpec(r io.Reader) (Spec, error) {
 	return s, nil
 }
 
-// decodeReason phrases a json decode error for a 400 body.
-func decodeReason(err error) string {
-	if errors.Is(err, io.EOF) {
-		return "empty body"
+// decodeStrict decodes exactly one JSON object from r into v: unknown
+// fields, trailing data and malformed or empty bodies are SpecErrors
+// (HTTP 400).
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		reason := err.Error()
+		if errors.Is(err, io.EOF) {
+			reason = "empty body"
+		}
+		return &SpecError{Field: "body", Reason: reason}
 	}
-	return err.Error()
+	if dec.More() {
+		return &SpecError{Field: "body", Reason: "trailing data after the JSON object"}
+	}
+	return nil
 }
 
 // seed returns the effective seed (0 defaults to 1, matching the CLIs).

@@ -10,11 +10,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/runctl"
 	"repro/internal/sim"
 )
 
-// WorkerOptions configures a remote worker process.
+// WorkerOptions configures a Worker.
 type WorkerOptions struct {
 	// Server is the scand base URL, e.g. "http://10.0.0.5:8080".
 	Server string
@@ -30,25 +31,34 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Worker is the claim side of the lease protocol: the engine behind
-// cmd/scanworker. It polls the server's claim endpoint, runs each
-// leased task through the exact executeFlow path the server's
-// in-process pool uses, heartbeats the lease with its current
-// checkpoint bytes so a crash loses no more than one heartbeat interval
-// of work, and uploads the result. On a 410 (lease reclaimed) it
-// abandons the task; on shutdown it checkpoints and releases the task
-// back to the queue.
+// Worker is the claim side of the lease protocol and the only place a
+// task runs: the engine behind cmd/scanworker and behind each of the
+// server's in-process workers. It claims a lease, runs the task through
+// executeFlow, heartbeats the lease with its current checkpoint bytes
+// so a crash loses no more than one heartbeat interval of work, and
+// uploads the result. On ErrLeaseGone (reclaimed, or the job was
+// canceled or drained) it abandons the task; on shutdown it checkpoints
+// and releases the task back to the queue.
 type Worker struct {
-	opts   WorkerOptions
-	client *Client
-	logf   func(string, ...any)
+	opts WorkerOptions
+	tr   leaseTransport
+	logf func(string, ...any)
+	// observe, when set, supplies the observer a leased task's flow
+	// events go to: the job's recorder for in-process workers. Remote
+	// workers run unobserved.
+	observe func(*Assignment) obs.Observer
 }
 
-// NewWorker builds a Worker.
+// NewWorker builds a Worker that claims from a scand server over HTTP.
 func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Server == "" {
 		return nil, errors.New("jobs: WorkerOptions.Server is required")
 	}
+	return newWorker(opts, &Client{Base: opts.Server, HTTP: opts.HTTP})
+}
+
+// newWorker builds a Worker over any lease transport.
+func newWorker(opts WorkerOptions, tr leaseTransport) (*Worker, error) {
 	if opts.Name == "" {
 		return nil, errors.New("jobs: WorkerOptions.Name is required")
 	}
@@ -65,11 +75,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Worker{
-		opts:   opts,
-		client: &Client{Base: opts.Server, HTTP: opts.HTTP},
-		logf:   logf,
-	}, nil
+	return &Worker{opts: opts, tr: tr, logf: logf}, nil
 }
 
 // Run claims and executes tasks until ctx is canceled. A task in flight
@@ -80,7 +86,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return nil
 		}
-		a, err := w.client.Claim(ctx, w.opts.Name)
+		a, err := w.tr.Claim(ctx, w.opts.Name)
 		switch {
 		case err != nil:
 			// Draining server, network blip: back off and retry.
@@ -98,17 +104,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// RunOne claims and executes at most one task, reporting whether one
-// was available — the single-step mode tests and batch scripts use.
-func (w *Worker) RunOne(ctx context.Context) (bool, error) {
-	a, err := w.client.Claim(ctx, w.opts.Name)
-	if err != nil || a == nil {
-		return false, err
-	}
-	w.runAssignment(ctx, a)
-	return true, nil
-}
-
 func (w *Worker) ckptPath(a *Assignment) string {
 	return filepath.Join(w.opts.DataDir, fmt.Sprintf("%s-task-%d.ckpt", a.Job, a.Task))
 }
@@ -122,7 +117,7 @@ func (w *Worker) runAssignment(ctx context.Context, a *Assignment) {
 	if len(a.Checkpoint) > 0 {
 		if err := writeFileAtomic(path, a.Checkpoint); err != nil {
 			w.logf("seed checkpoint: %v", err)
-			w.client.ReleaseClaim(context.Background(), a.Lease, nil)
+			w.tr.ReleaseClaim(context.Background(), a.Lease, nil)
 			return
 		}
 	}
@@ -159,7 +154,7 @@ func (w *Worker) runAssignment(ctx context.Context, a *Assignment) {
 				return
 			case <-ticker.C:
 				ckpt, _ := os.ReadFile(path)
-				if _, err := w.client.Heartbeat(context.Background(), a.Lease, ckpt); err != nil {
+				if _, err := w.tr.Heartbeat(context.Background(), a.Lease, ckpt); err != nil {
 					if errors.Is(err, ErrLeaseGone) {
 						mu.Lock()
 						gone = true
@@ -184,9 +179,13 @@ func (w *Worker) runAssignment(ctx context.Context, a *Assignment) {
 		Resume:    a.Resume,
 		SaveEvery: 8,
 	}
+	var rec obs.Observer
+	if w.observe != nil {
+		rec = w.observe(a)
+	}
 	res := executeFlow(&a.Spec, a.Circuit,
 		sim.FaultRange{Start: a.ShardStart, End: a.ShardEnd},
-		a.Chunk, a.RestoredKept, ctl, nil)
+		a.Chunk, a.RestoredKept, ctl, rec)
 	close(hbStop)
 	hbDone.Wait()
 
@@ -194,20 +193,20 @@ func (w *Worker) runAssignment(ctx context.Context, a *Assignment) {
 	abandoned := gone
 	mu.Unlock()
 	if abandoned {
-		w.logf("lease %s reclaimed; abandoning %s %s", a.Lease, a.Job, a.Name)
+		w.logf("lease %s gone (reclaimed, canceled or drained); abandoning %s %s", a.Lease, a.Job, a.Name)
 		return
 	}
 	ckpt, _ := os.ReadFile(path)
 	if ctx.Err() != nil && res.Status.Stopped() {
 		// Shutdown: hand the task back with its checkpoint so another
 		// worker continues instead of the job suspending.
-		if err := w.client.ReleaseClaim(context.Background(), a.Lease, ckpt); err != nil && !errors.Is(err, ErrLeaseGone) {
+		if err := w.tr.ReleaseClaim(context.Background(), a.Lease, ckpt); err != nil && !errors.Is(err, ErrLeaseGone) {
 			w.logf("release: %v", err)
 		}
 		w.logf("released %s %s", a.Job, a.Name)
 		return
 	}
-	if err := w.client.CompleteClaim(context.Background(), a.Lease, res, ckpt); err != nil {
+	if err := w.tr.CompleteClaim(context.Background(), a.Lease, res, ckpt); err != nil {
 		if errors.Is(err, ErrLeaseGone) {
 			w.logf("lease %s gone at upload; result discarded", a.Lease)
 			return
