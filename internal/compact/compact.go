@@ -412,6 +412,8 @@ func OmitOpts(c *netlist.Circuit, seq logic.Sequence, faults []fault.Fault, opts
 	o.cRemoved = obs.C(ob, "omit.removed_vectors")
 	o.cReconv = obs.C(ob, "omit.reconv_cutoffs")
 	o.cWinHits = obs.C(ob, "omit.window_memo_hits")
+	o.cEvCycles = obs.C(ob, "omit.event_cycles")
+	o.cSkipped = obs.C(ob, "omit.skipped_cycles")
 	// Snapshot the originally-undetected fault indices now: the trial
 	// engine rewrites o.detAt in place as removals shift detection
 	// times, so nothing derived from it may be read after this point.

@@ -50,15 +50,18 @@ func omitCkptStride(nVec, nBatches, nFF int) int {
 //     on the input prefix, and additionally memoized at the current
 //     removal window's boundary, so a trial replays at most a window's
 //     worth of prefix per batch;
-//   - fault-free data (compact per-position state images plus output
-//     rows) is maintained for the whole working sequence, and a trial's
+//   - fault-free data (one sim.Image per position: the values during
+//     the vector, primary outputs included, and the state after it) is
+//     maintained for the whole working sequence, and a trial's
 //     fault-free suffix is recomputed only until its state reconverges
 //     with the committed trajectory — on scan sequences that is about
 //     one scan operation, not the remaining tail;
 //   - a trial only simulates the fault batches whose detections are at
-//     stake, each bounded just past its latest previous detection; with
-//     more than one worker those independent jobs run speculatively in
-//     parallel with deterministic accounting (see tryRemove).
+//     stake, each bounded just past its latest previous detection, and
+//     from the window boundary on only the at-stake faults of a batch,
+//     on the event kernel (see runJob); with more than one worker those
+//     independent jobs run speculatively in parallel with deterministic
+//     accounting (see tryRemove).
 type omitter struct {
 	c      *netlist.Circuit
 	sim    *sim.Simulator
@@ -69,11 +72,13 @@ type omitter struct {
 	detAt  []int
 
 	good *sim.Machine
-	// goodImg[t] / goodRows[t] are the fault-free state image after and
-	// the output row at cur[t] of the *committed* working sequence;
-	// both are spliced and patched on every commit.
-	goodImg  []sim.StateImage
-	goodRows [][]logic.Value
+	// goodImg[t] is the fault-free image of cur[t] in the *committed*
+	// working sequence, spliced and patched on every commit. imgFree
+	// recycles image buffers: trial images of rejected removals and
+	// committed images a commit replaces. Both are touched only by the
+	// orchestrating goroutine.
+	goodImg []sim.Image
+	imgFree []sim.Image
 
 	stride  int // spacing of per-batch prefix checkpoints
 	batches []*omitBatch
@@ -106,6 +111,10 @@ type omitter struct {
 	// cWinHits counts trial jobs that started from the window-boundary
 	// memo instead of a stride checkpoint.
 	cWinHits *obs.Counter
+	// cEvCycles and cSkipped count the event-kernel cycles trial jobs
+	// evaluated and skipped as dead, charged like Stats.BatchSteps.
+	cEvCycles *obs.Counter
+	cSkipped  *obs.Counter
 }
 
 type omitBatch struct {
@@ -169,7 +178,7 @@ func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omi
 				b.ckpts = append(b.ckpts, m.SaveState())
 			}
 			m.Step(v)
-			detected |= o.detectStep(m, b, o.goodRows[t], detected, allMask, t)
+			detected |= o.detectStep(m, b, o.goodImg[t], detected, allMask, t)
 		}
 		o.batches[bi] = b
 	}
@@ -208,25 +217,33 @@ func newOmitter(s *sim.Simulator, seq logic.Sequence, faults []fault.Fault) *omi
 	return o
 }
 
-// rebuildGood recomputes the committed fault-free data (state images
-// and output rows) over the current working sequence from scratch.
-// Used at construction and after a checkpoint resume rebuilt cur;
-// everywhere else commits patch the arrays incrementally.
+// rebuildGood recomputes the committed fault-free images over the
+// current working sequence from scratch. Used at construction and after
+// a checkpoint resume rebuilt cur; everywhere else commits patch the
+// array incrementally.
 func (o *omitter) rebuildGood() {
-	nPO := o.c.NumOutputs()
 	o.good.ClearFaults()
 	o.good.Reset()
-	o.goodImg = make([]sim.StateImage, len(o.cur))
-	o.goodRows = make([][]logic.Value, len(o.cur))
+	o.imgFree = append(o.imgFree, o.goodImg...)
+	o.goodImg = make([]sim.Image, len(o.cur))
 	for t, v := range o.cur {
 		o.good.Step(v)
-		o.goodImg[t] = o.good.StateImage()
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = o.good.OutputSlot(po, 0)
-		}
-		o.goodRows[t] = row
+		o.goodImg[t] = o.captureGood()
 	}
+}
+
+// captureGood returns the good machine's image of its last step in a
+// recycled (or fresh) buffer.
+func (o *omitter) captureGood() sim.Image {
+	var img sim.Image
+	if n := len(o.imgFree); n > 0 {
+		img = o.imgFree[n-1]
+		o.imgFree = o.imgFree[:n-1]
+	} else {
+		img = make(sim.Image, sim.ImageWords(o.c))
+	}
+	o.good.CaptureImage(img)
+	return img
 }
 
 // close returns the omitter's pooled machines to the simulator.
@@ -251,20 +268,11 @@ func (o *omitter) batchMask(b *omitBatch) uint64 {
 	return sim.AllSlots
 }
 
-// detectStep compares the batch machine's outputs to the good values,
+// detectStep compares the batch machine's outputs to the good image's,
 // records first detections into detAt at time t, and returns the newly
 // detected mask.
-func (o *omitter) detectStep(m *sim.Machine, b *omitBatch, goodRow []logic.Value, detected, allMask uint64, t int) uint64 {
-	var newly uint64
-	for po := range goodRow {
-		if !goodRow[po].IsBinary() {
-			continue
-		}
-		gz, gd := valuePlanesOf(goodRow[po])
-		fz, fd := m.OutputPlanes(po)
-		newly |= sim.DetectMask(gz, gd, fz, fd)
-	}
-	newly &= allMask &^ detected
+func (o *omitter) detectStep(m *sim.Machine, b *omitBatch, good sim.Image, detected, allMask uint64, t int) uint64 {
+	newly := m.DetectImage(good) & allMask &^ detected
 	for k := 0; k < b.n; k++ {
 		if newly&(uint64(1)<<uint(k)) != 0 {
 			o.detAt[b.start+k] = t
@@ -273,36 +281,23 @@ func (o *omitter) detectStep(m *sim.Machine, b *omitBatch, goodRow []logic.Value
 	return newly
 }
 
-func valuePlanesOf(v logic.Value) (z, d uint64) {
-	switch v {
-	case logic.Zero:
-		return ^uint64(0), 0
-	case logic.One:
-		return 0, ^uint64(0)
-	default:
-		return ^uint64(0), ^uint64(0)
-	}
-}
-
-// trialGood lazily produces the fault-free output rows of one trial
+// trialGood lazily produces the fault-free images of one trial
 // sequence (cur with [lo, lo+removed) deleted). The recomputation is
 // cut off as soon as the trial's fault-free state reconverges with the
-// committed trajectory — from then on the committed rows, shifted by
-// the removal, are the trial's rows verbatim. On success the produced
-// span is exactly the patch a commit must apply to the committed
-// arrays.
+// committed trajectory — from then on the committed images, shifted by
+// the removal, are the trial's images verbatim. On success the produced
+// span is exactly the patch a commit must apply to the committed array.
 type trialGood struct {
 	o           *omitter
 	lo, removed int
 	next        int // next trial position to produce
 	conv        int // first position served from committed data, -1 while diverged
-	rows        [][]logic.Value
-	imgs        []sim.StateImage
+	imgs        []sim.Image
 }
 
 // newTrialGood positions the omitter's good machine just before trial
 // position lo and returns the provider. Nothing else may touch o.good
-// until the trial ends.
+// until the trial ends, by commitTrial or discard.
 func (o *omitter) newTrialGood(lo, removed int) *trialGood {
 	if lo > 0 {
 		o.good.SetStateImage(o.goodImg[lo-1])
@@ -312,24 +307,19 @@ func (o *omitter) newTrialGood(lo, removed int) *trialGood {
 	return &trialGood{o: o, lo: lo, removed: removed, next: lo, conv: -1}
 }
 
-// ensure produces trial rows for every position below bound (exclusive)
-// unless reconvergence makes them unnecessary first. Must not be called
-// concurrently; parallel waves pre-ensure their bound before launching.
+// ensure produces trial images for every position below bound
+// (exclusive) unless reconvergence makes them unnecessary first. Must
+// not be called concurrently; parallel waves pre-ensure their bound
+// before launching.
 func (tg *trialGood) ensure(bound int) {
 	o := tg.o
 	limit := len(o.cur) - tg.removed
 	if bound > limit {
 		bound = limit
 	}
-	nPO := o.c.NumOutputs()
 	for tg.conv < 0 && tg.next < bound {
 		o.good.Step(o.cur[tg.next+tg.removed])
-		row := make([]logic.Value, nPO)
-		for po := range row {
-			row[po] = o.good.OutputSlot(po, 0)
-		}
-		tg.rows = append(tg.rows, row)
-		tg.imgs = append(tg.imgs, o.good.StateImage())
+		tg.imgs = append(tg.imgs, o.captureGood())
 		if o.good.StateEqualsImage(o.goodImg[tg.next+tg.removed]) {
 			tg.conv = tg.next + 1
 			o.cReconv.Inc()
@@ -338,20 +328,23 @@ func (tg *trialGood) ensure(bound int) {
 	}
 }
 
-// row returns the trial's fault-free output row at trial position t.
-// Only positions below a previous ensure bound (or below the
-// reconvergence point) are valid.
-func (tg *trialGood) row(t int) []logic.Value {
-	if tg.conv >= 0 && t >= tg.conv {
-		return tg.o.goodRows[t+tg.removed]
-	}
-	if t >= tg.next {
+// image returns the trial's fault-free image at trial position t,
+// producing it first if a serial caller runs ahead of the last ensure
+// bound.
+func (tg *trialGood) image(t int) sim.Image {
+	if t >= tg.next && tg.conv < 0 {
 		tg.ensure(t + 1)
-		if tg.conv >= 0 && t >= tg.conv {
-			return tg.o.goodRows[t+tg.removed]
-		}
 	}
-	return tg.rows[t-tg.lo]
+	if tg.conv >= 0 && t >= tg.conv {
+		return tg.o.goodImg[t+tg.removed]
+	}
+	return tg.imgs[t-tg.lo]
+}
+
+// discard ends a rejected trial, recycling its image buffers.
+func (tg *trialGood) discard() {
+	tg.o.imgFree = append(tg.o.imgFree, tg.imgs...)
+	tg.imgs = nil
 }
 
 // omitJob is one batch's share of a removal trial: re-detect the
@@ -362,33 +355,43 @@ type omitJob struct {
 	maxDet int
 	bound  int
 	// Results.
-	ok    bool
-	steps int64
-	hits  []omitHit
+	ok                bool
+	steps             int64
+	evCycles, skipped int64 // event-kernel cycles evaluated / skipped dead
+	hits              []omitHit
 }
 
 type omitHit struct{ fi, t int }
 
 // runJob replays one batch over the trial sequence and reports whether
 // every at-stake fault is re-detected within the job's bound. The
-// prefix below the removal point is restored from the window memo (or
-// the nearest stride checkpoint, memoizing the window boundary on the
-// way); the monitored suffix reads trial rows that ensure already
-// produced, so concurrent jobs only share read-only data plus their own
-// winStates/winHave entries.
+// prefix up to the window boundary is restored from the window memo (or
+// replayed with the whole batch injected from the nearest stride
+// checkpoint, memoizing the window boundary on the way).
+//
+// From the window boundary on only the at-stake faults (jb.mask)
+// matter. They are re-injected alone, each in its own slot, and stepped
+// on the event kernel against the committed images up to lo and the
+// trial's images after it. Every plane operation is per-slot
+// independent, so the at-stake slots evolve bit-identically to a full
+// replay with all faults injected; the other slots merely go stale.
+// Each position still charges one batch step, so Stats do not depend on
+// how the positions were evaluated. The monitored suffix reads trial
+// images that ensure already produced, so concurrent jobs only share
+// read-only data plus their own winStates/winHave entries.
 func (o *omitter) runJob(m *sim.Machine, jb *omitJob, lo, removed int, tg *trialGood) {
 	b := jb.b
 	bi := b.start / sim.Slots
 	m.ClearFaults()
-	for k, f := range b.faults {
-		if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
-			panic(err)
-		}
-	}
 	if o.winHave[bi] {
 		m.RestoreState(o.winStates[bi])
 		o.cWinHits.Inc()
 	} else {
+		for k, f := range b.faults {
+			if err := m.InjectFault(f, uint64(1)<<uint(k)); err != nil {
+				panic(err)
+			}
+		}
 		j := o.winLo / o.stride
 		if j >= len(b.ckpts) {
 			j = len(b.ckpts) - 1
@@ -400,28 +403,29 @@ func (o *omitter) runJob(m *sim.Machine, jb *omitJob, lo, removed int, tg *trial
 		}
 		m.SaveStateInto(&o.winStates[bi])
 		o.winHave[bi] = true
+		m.ClearFaults()
 	}
+	for k, f := range b.faults {
+		if bit := uint64(1) << uint(k); jb.mask&bit != 0 {
+			if err := m.InjectFault(f, bit); err != nil {
+				panic(err)
+			}
+		}
+	}
+	var prev sim.Image // nil at position 0: the reset state is fault-free
+	if o.winLo > 0 {
+		prev = o.goodImg[o.winLo-1]
+	}
+	st := m.BeginEvent(prev, jb.mask)
 	for u := o.winLo; u < lo; u++ {
-		m.Step(o.cur[u])
+		st.Step(o.goodImg[u], jb.mask)
 		jb.steps++
 	}
 	// Suffix with detection monitoring on the at-stake bits.
 	var detected uint64
 	for t := lo; t < jb.bound; t++ {
-		m.Step(o.cur[t+removed])
+		newly := st.Step(tg.image(t), jb.mask&^detected)
 		jb.steps++
-		row := tg.row(t)
-		var newly uint64
-		for po := range row {
-			gv := row[po]
-			if !gv.IsBinary() {
-				continue
-			}
-			gz, gd := valuePlanesOf(gv)
-			fz, fd := m.OutputPlanes(po)
-			newly |= sim.DetectMask(gz, gd, fz, fd)
-		}
-		newly &= jb.mask &^ detected
 		if newly != 0 {
 			detected |= newly
 			for k := 0; k < b.n; k++ {
@@ -435,6 +439,7 @@ func (o *omitter) runJob(m *sim.Machine, jb *omitJob, lo, removed int, tg *trial
 		}
 	}
 	jb.ok = detected == jb.mask
+	jb.evCycles, jb.skipped = st.EventCycles, st.Skipped
 }
 
 // tryRemove attempts to delete cur[lo:hi]. slack bounds how far past
@@ -513,9 +518,9 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 		for i := range jobs {
 			jb := &jobs[i]
 			o.runJob(o.scratch, jb, lo, removed, tg)
-			o.sims++
-			o.steps += jb.steps
+			o.charge(jb)
 			if !jb.ok {
+				tg.discard()
 				return false
 			}
 			hits = append(hits, jb.hits...)
@@ -586,15 +591,24 @@ func (o *omitter) tryRemove(lo, hi, slack int) bool {
 			}
 			continue
 		}
-		o.sims++
-		o.steps += jobs[i].steps
+		o.charge(&jobs[i])
 		hits = append(hits, jobs[i].hits...)
 	}
 	if fail < len(jobs) {
+		tg.discard()
 		return false
 	}
 	o.commitHits(lo, hi, hits, tg)
 	return true
+}
+
+// charge accounts one job of the earliest-deadline prefix to Stats and
+// the event-cycle counters.
+func (o *omitter) charge(jb *omitJob) {
+	o.sims++
+	o.steps += jb.steps
+	o.cEvCycles.Add(jb.evCycles)
+	o.cSkipped.Add(jb.skipped)
 }
 
 // commitHits folds per-job detection hits into new detection times and
@@ -610,18 +624,16 @@ func (o *omitter) commitHits(lo, hi int, hits []omitHit, tg *trialGood) {
 // commitTrial applies the removal, the re-recorded detection times and
 // the fault-free data patch. The provider first finishes its span to
 // the reconvergence point (or the sequence end); past that point the
-// committed entries, shifted by the removal, are already correct.
+// committed entries, shifted by the removal, are already correct. The
+// committed images the removal and the patch replace are recycled.
 func (o *omitter) commitTrial(lo, hi int, newTimes map[int]int, tg *trialGood) {
 	tg.ensure(len(o.cur) - tg.removed)
 	o.cRemoved.Add(int64(hi - lo))
+	o.imgFree = append(o.imgFree, o.goodImg[lo:hi+len(tg.imgs)]...)
 	o.cur = append(o.cur[:lo], o.cur[hi:]...)
 	o.idx = append(o.idx[:lo], o.idx[hi:]...)
 	o.goodImg = append(o.goodImg[:lo], o.goodImg[hi:]...)
-	o.goodRows = append(o.goodRows[:lo], o.goodRows[hi:]...)
-	for i := range tg.rows {
-		o.goodImg[lo+i] = tg.imgs[i]
-		o.goodRows[lo+i] = tg.rows[i]
-	}
+	copy(o.goodImg[lo:], tg.imgs)
 	for fi, t := range newTimes {
 		o.detAt[fi] = t
 	}

@@ -18,9 +18,16 @@
 //     scan-shift-heavy C_scan sequences simulated a few faults at a
 //     time, the shape of every compaction trial).
 //
+// The per-cycle body — dead-cycle skip, stale-state rematerialization,
+// eventCycle and dirty-output detection — is EventStepper. It has two
+// callers, each holding its own fault-free images: runBatchEvent
+// (Simulator.Run, images from the good trace) and the omission trial
+// engine in internal/compact (images of its committed and trial
+// sequences).
+//
 // Event evaluation costs more per gate than the straight-line full
-// sweep (epoch checks, change detection, queue maintenance), so a batch
-// whose dirty region persistently covers a large fraction of the
+// sweep (epoch checks, change detection, queue maintenance), so a Run
+// batch whose dirty region persistently covers a large fraction of the
 // circuit — typical for full 64-fault batches on chain-connected scan
 // circuits — is handed off mid-sequence to the full-evaluation path
 // (see the hand-off in runBatchEvent). The decision uses only per-batch
@@ -28,7 +35,7 @@
 // of worker count.
 //
 // Detection results are bit-identical to the full-evaluation oracle
-// (Machine.evalFaulty): a gate not on the queue has all inputs equal to
+// (Machine.eval): a gate not on the queue has all inputs equal to
 // their fault-free values and no active injection, hence a fault-free
 // output, by induction over the levelized evaluation order.
 package sim
@@ -71,10 +78,11 @@ type eventScratch struct {
 	act0Mask  []uint64           // slot masks parallel to act0
 	act1Mask  []uint64           // slot masks parallel to act1
 
-	// Current-cycle image (borrowed from the good trace).
-	img  []uint64
-	sigW int
-	ffW  int
+	// img is the current cycle's fault-free image (borrowed from the
+	// stepper's caller).
+	img Image
+
+	step EventStepper
 }
 
 // evScratch returns the machine's event scratch, allocating it on first
@@ -104,10 +112,10 @@ func (m *Machine) evScratch() *eventScratch {
 // prepareEvent derives the batch's static structure from the machine's
 // injected faults: the sequential reach (which gates, flip-flops and
 // primary outputs the batch can ever influence), the per-cycle seed
-// lists, and the site-activity lists driving dead-cycle skipping. The
-// machine's faults must have been injected in slot order (fault k in
-// slot k), as runBatchEvent does.
-func (m *Machine) prepareEvent() *eventScratch {
+// lists, and the site-activity lists driving dead-cycle skipping. Each
+// site's activity mask is the slot mask its fault was injected with,
+// so faults may occupy any slots in any injection order.
+func (m *Machine) prepareEvent() {
 	ev := m.evScratch()
 	c := m.c
 	ev.sites = ev.sites[:0]
@@ -124,10 +132,10 @@ func (m *Machine) prepareEvent() *eventScratch {
 		ev.sites = append(ev.sites, site.Signal)
 		if f.SA == logic.Zero {
 			ev.act0 = append(ev.act0, site.Signal)
-			ev.act0Mask = append(ev.act0Mask, uint64(1)<<uint(k))
+			ev.act0Mask = append(ev.act0Mask, m.injMask[k])
 		} else {
 			ev.act1 = append(ev.act1, site.Signal)
-			ev.act1Mask = append(ev.act1Mask, uint64(1)<<uint(k))
+			ev.act1Mask = append(ev.act1Mask, m.injMask[k])
 		}
 		switch {
 		case site.FF >= 0:
@@ -167,26 +175,12 @@ func (m *Machine) prepareEvent() *eventScratch {
 	for _, fi := range ev.qOnly {
 		ev.inLatch[fi] = false
 	}
-	return ev
 }
 
-// imgPlanes expands the image's two bits for signal s into broadcast
-// planes (every slot carries the fault-free value).
-func (ev *eventScratch) imgPlanes(s netlist.SignalID) (z, o uint64) {
-	w, b := int(s)>>6, uint(s)&63
-	z = -(ev.img[w] >> b & 1)
-	o = -(ev.img[ev.sigW+w] >> b & 1)
-	return z, o
-}
-
-// imgFFPlanes expands the image's post-vector state bits for flip-flop
-// fi into broadcast planes.
-func (ev *eventScratch) imgFFPlanes(fi int32) (z, o uint64) {
-	base := 2 * ev.sigW
-	w, b := int(fi)>>6, uint(fi)&63
-	z = -(ev.img[base+w] >> b & 1)
-	o = -(ev.img[base+ev.ffW+w] >> b & 1)
-	return z, o
+// imgPlanes expands the current image's two bits for signal s into
+// broadcast planes (every slot carries the fault-free value).
+func (m *Machine) imgPlanes(s netlist.SignalID) (z, o uint64) {
+	return imageSig(m.ev.img, m.sigW, s)
 }
 
 // anyActive reports whether any injection site of a still-undetected
@@ -197,7 +191,7 @@ func (ev *eventScratch) imgFFPlanes(fi int32) (z, o uint64) {
 // faults are ignored: their slots never produce another reportable
 // detection, so letting their values drift from the true faulty values
 // is harmless (all plane operations are per-slot independent).
-func (ev *eventScratch) anyActive(img []uint64, sigW int, care uint64) bool {
+func (ev *eventScratch) anyActive(img Image, sigW int, care uint64) bool {
 	for i, s := range ev.act0 {
 		if ev.act0Mask[i]&care != 0 && img[sigW+int(s)>>6]>>(uint(s)&63)&1 != 0 {
 			return true
@@ -248,7 +242,7 @@ func (m *Machine) evRead(s netlist.SignalID) (z, o uint64) {
 	if ev.curEpoch[s] == ev.epoch {
 		return ev.cz[s], ev.co[s]
 	}
-	z, o = ev.imgPlanes(s)
+	z, o = imageSig(ev.img, m.sigW, s)
 	ev.cz[s], ev.co[s] = z, o
 	ev.curEpoch[s] = ev.epoch
 	return z, o
@@ -267,8 +261,8 @@ func (m *Machine) evReadPin(s netlist.SignalID, pin int32) (z, o uint64) {
 // next state diverges from the fault-free next state in a slot of care
 // (the still-undetected faults), plus how many gates were re-evaluated.
 // On return, dirty primary outputs are identified by dirtyEpoch stamps
-// (see detection in runBatchEvent).
-func (m *Machine) eventCycle(img []uint64, sigW, ffW int, care uint64) (diverged bool, drained int) {
+// (see EventStepper.Step).
+func (m *Machine) eventCycle(img Image, care uint64) (diverged bool, drained int) {
 	ev := m.ev
 	c := m.c
 	if ev.epoch == 1<<31-1 {
@@ -283,13 +277,13 @@ func (m *Machine) eventCycle(img []uint64, sigW, ffW int, care uint64) (diverged
 		ev.epoch = 0
 	}
 	ev.epoch++
-	ev.img, ev.sigW, ev.ffW = img, sigW, ffW
+	ev.img = img
 	ev.minLv = int32(len(ev.buckets))
 	ev.maxLv = 0
 
 	// Seed 1: primary inputs carrying stem faults.
 	for _, in := range ev.stemIns {
-		gz, gd := ev.imgPlanes(in)
+		gz, gd := m.imgPlanes(in)
 		z, o := applyInj(gz, gd, m.stemSA0[in], m.stemSA1[in])
 		if z != gz || o != gd {
 			m.evDirty(in, z, o)
@@ -299,14 +293,14 @@ func (m *Machine) eventCycle(img []uint64, sigW, ffW int, care uint64) (diverged
 	for _, fi := range ev.latch {
 		q := c.FFs[fi].Q
 		z, o := applyInj(m.sz[fi], m.so[fi], m.stemSA0[q], m.stemSA1[q])
-		gz, gd := ev.imgPlanes(q)
+		gz, gd := m.imgPlanes(q)
 		if z != gz || o != gd {
 			m.evDirty(q, z, o)
 		}
 	}
 	for _, fi := range ev.qOnly {
 		q := c.FFs[fi].Q
-		gz, gd := ev.imgPlanes(q)
+		gz, gd := m.imgPlanes(q)
 		z, o := applyInj(gz, gd, m.stemSA0[q], m.stemSA1[q])
 		if z != gz || o != gd {
 			m.evDirty(q, z, o)
@@ -359,7 +353,7 @@ func (m *Machine) eventCycle(img []uint64, sigW, ffW int, care uint64) (diverged
 				}
 			}
 			z, o = applyInj(z, o, m.stemSA0[g.Out], m.stemSA1[g.Out])
-			gz, gd := ev.imgPlanes(g.Out)
+			gz, gd := m.imgPlanes(g.Out)
 			if z != gz || o != gd {
 				m.evDirty(g.Out, z, o)
 			} else {
@@ -373,16 +367,168 @@ func (m *Machine) eventCycle(img []uint64, sigW, ffW int, care uint64) (diverged
 
 	// Latch the next faulty state of every reachable flip-flop and
 	// compare against the fault-free next state.
+	base := 2 * m.sigW
 	for _, fi := range ev.latch {
 		z, o := m.evRead(c.FFs[fi].D)
 		z, o = applyInj(z, o, m.ffSA0[fi], m.ffSA1[fi])
 		m.sz[fi], m.so[fi] = z, o
-		gz, gd := ev.imgFFPlanes(fi)
+		gz, gd := imageFF(img, base, m.ffW, int(fi))
 		if ((z^gz)|(o^gd))&care != 0 {
 			diverged = true
 		}
 	}
 	return diverged, drained
+}
+
+// EventStepper advances the faults injected into a Machine one cycle at
+// a time, against fault-free images its caller supplies. Its event
+// core, stepEvent, is the per-cycle logic both callers share:
+//
+//   - dead-cycle skip: while the latched state equals the fault-free
+//     state in every care slot ("clean") and no care fault's site is
+//     activated by the cycle's fault-free values, the cycle is skipped
+//     with zero gate evaluations;
+//   - stale-state rematerialization: the first executed cycle after a
+//     skip run reloads the reachable flip-flops from the previous
+//     image's post-vector state (equal by cleanliness);
+//   - eventCycle, then detection at the primary outputs the cycle left
+//     dirty.
+//
+// runBatchEvent drives stepEvent with its own one-way hand-off to the
+// full sweep. Step, for callers outside the package, adds a hand-off
+// that returns: see Step.
+//
+// care selects the slots whose results matter (the still-undetected
+// faults). Slots outside it may drift from their true faulty values —
+// every plane operation is per-slot independent, so they never leak
+// into a care slot. Obtain a stepper from Machine.BeginEvent.
+type EventStepper struct {
+	m     *Machine
+	clean bool  // latched state equals the fault-free state in every care slot
+	stale bool  // latched state not updated over the skipped cycles
+	full  bool  // Step is sweeping whole cycles until the state is clean
+	prev  Image // fault-free image of the last stepped cycle
+
+	// drained is the gate count the last event cycle re-evaluated
+	// (runBatchEvent's hand-off economics).
+	drained int
+
+	// EventCycles and Skipped count Step's cycles evaluated on the
+	// event kernel and skipped as dead; the remaining cycles were full
+	// sweeps.
+	EventCycles, Skipped int64
+}
+
+// BeginEvent prepares the event kernel for the faults currently
+// injected into m and returns its stepper, valid until the machine's
+// faults change or BeginEvent is called again. The machine's state is
+// the starting state. prev is the fault-free image of the cycle before
+// the first step, against which the starting state's cleanliness in
+// the care slots is checked; nil asserts that the starting state is the
+// fault-free one in every care slot (a run from the initial state).
+//
+// Only stuck-at faults are supported. In every care slot the starting
+// state's divergence must lie inside the slot's own fault's sequential
+// reach, as it does for any state reached by simulating those faults,
+// each in its own slots, from a fault-free state.
+func (m *Machine) BeginEvent(prev Image, care uint64) *EventStepper {
+	m.prepareEvent()
+	st := &m.ev.step
+	*st = EventStepper{m: m, clean: true, prev: prev}
+	if prev != nil {
+		st.clean = m.latchClean(prev, care)
+	}
+	st.full = !st.clean
+	return st
+}
+
+// latchClean reports whether every reachable flip-flop's state equals
+// img's post-vector state in the care slots.
+func (m *Machine) latchClean(img Image, care uint64) bool {
+	base := 2 * m.sigW
+	for _, fi := range m.ev.latch {
+		gz, gd := imageFF(img, base, m.ffW, int(fi))
+		if ((m.sz[fi]^gz)|(m.so[fi]^gd))&care != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Step simulates one cycle against img, the fault-free image of this
+// cycle's vector, and returns the care slots detected at a primary
+// output this cycle.
+//
+// Event cycles pay off while a fault effect is confined to a small cone
+// around its site. Once a cycle leaves the effect latched in the state,
+// it can reach any gate in the following cycles, so Step sweeps whole
+// cycles (Machine.finishStep, pin masks only at the injected gates)
+// until the latched state is clean again in every care slot, then
+// returns to event cycles and dead-cycle skipping. Both paths compute
+// the care slots' values exactly, so the result does not depend on
+// which one ran.
+func (st *EventStepper) Step(img Image, care uint64) (newly uint64) {
+	m := st.m
+	if st.full {
+		for _, in := range m.c.Inputs {
+			m.zero[in], m.one[in] = imageSig(img, m.sigW, in)
+		}
+		m.finishStep()
+		st.clean = m.latchClean(img, care)
+		st.full = !st.clean
+		st.prev = img
+		return m.DetectImage(img) & care
+	}
+	newly, skipped := st.stepEvent(img, care)
+	switch {
+	case skipped:
+		st.Skipped++
+	case !st.clean:
+		// Event cycles maintain only the reachable flip-flops; the
+		// sweep needs the rest, which track the fault-free state.
+		m.materializeState(img)
+		st.full = true
+		fallthrough
+	default:
+		st.EventCycles++
+	}
+	return newly
+}
+
+// stepEvent is Step on the event kernel alone. skipped reports a dead
+// cycle (no gate evaluated, nothing detected).
+func (st *EventStepper) stepEvent(img Image, care uint64) (newly uint64, skipped bool) {
+	m := st.m
+	ev := m.ev
+	if st.clean && !ev.anyActive(img, m.sigW, care) {
+		// Fault effect dead and no site activated: the faulty circuit
+		// tracks the fault-free one through this whole cycle.
+		st.stale = true
+		st.prev = img
+		return 0, true
+	}
+	if st.stale {
+		// Rematerialize the latched state from the fault-free image of
+		// the previous vector (equal by cleanliness).
+		base := 2 * m.sigW
+		for _, fi := range ev.latch {
+			m.sz[fi], m.so[fi] = imageFF(st.prev, base, m.ffW, int(fi))
+		}
+		st.stale = false
+	}
+	diverged, drained := m.eventCycle(img, care)
+	st.clean = !diverged
+	st.prev = img
+	st.drained = drained
+	for _, oi := range ev.reach.POs {
+		sid := m.c.Outputs[oi]
+		if ev.dirtyEpoch[sid] != ev.epoch {
+			continue // primary output tracks the fault-free value
+		}
+		gz, gd := m.imgPlanes(sid)
+		newly |= DetectMask(gz, gd, ev.cz[sid], ev.co[sid])
+	}
+	return newly & care, false
 }
 
 // Handoff economics: a full-evaluation cycle costs ~nGates gate
@@ -432,55 +578,22 @@ func (s *Simulator) runBatchEvent(m *Machine, tr *goodTrace, seq logic.Sequence,
 			panic(err)
 		}
 	}
-	ev := m.prepareEvent()
-	sigW, ffW := tr.sigW, tr.ffW
 	allMask := AllSlots
 	if n < Slots {
 		allMask = (uint64(1) << uint(n)) - 1
 	}
+	st := m.BeginEvent(nil, allMask)
 	var detected uint64
 	var drainedSum int64
-	// clean: the faulty flip-flop state equals the fault-free state in
-	// every still-undetected slot. Detected slots are written off — see
-	// anyActive.
-	clean := true
-	stale := false
 	for t := 0; t < len(seq); t++ {
 		img := tr.image(t)
-		if clean && !ev.anyActive(img, sigW, allMask&^detected) {
-			// Fault effect dead and no site activated: the faulty
-			// circuit tracks the fault-free one through this whole
-			// cycle. Skip it without evaluating a single gate.
+		newly, skip := st.stepEvent(img, allMask&^detected)
+		if skip {
 			skipped++
-			stale = true
 			continue
 		}
-		if stale {
-			// Rematerialize the latched state from the fault-free
-			// image of the previous vector (equal by cleanliness).
-			prev := tr.image(t - 1)
-			base := 2 * sigW
-			for _, fi := range ev.latch {
-				w, b := int(fi)>>6, uint(fi)&63
-				m.sz[fi] = -(prev[base+w] >> b & 1)
-				m.so[fi] = -(prev[base+ffW+w] >> b & 1)
-			}
-			stale = false
-		}
-		diverged, drained := m.eventCycle(img, sigW, ffW, allMask&^detected)
-		clean = !diverged
 		steps++
-		drainedSum += int64(drained)
-		var newly uint64
-		for _, oi := range ev.reach.POs {
-			sid := c.Outputs[oi]
-			if ev.dirtyEpoch[sid] != ev.epoch {
-				continue // primary output tracks the fault-free value
-			}
-			gz, gd := ev.imgPlanes(sid)
-			newly |= DetectMask(gz, gd, ev.cz[sid], ev.co[sid])
-		}
-		newly &= allMask &^ detected
+		drainedSum += int64(st.drained)
 		if newly != 0 {
 			detected |= newly
 			for k := 0; k < n; k++ {
@@ -503,7 +616,7 @@ func (s *Simulator) runBatchEvent(m *Machine, tr *goodTrace, seq logic.Sequence,
 			// Event cycles maintain only the reachable flip-flops'
 			// state; the rest tracks the fault-free machine, whose
 			// post-vector state the image carries.
-			m.materializeState(img, sigW, ffW)
+			m.materializeState(img)
 			fullSteps := s.runFullTail(m, tr, seq, t+1, n, start, detected, out)
 			return steps + fullSteps, skipped
 		}
@@ -515,19 +628,17 @@ func (s *Simulator) runBatchEvent(m *Machine, tr *goodTrace, seq logic.Sequence,
 // kernel did not maintain (those outside the batch's reach) from the
 // image's post-vector state, producing a state consistent with full
 // evaluation.
-func (m *Machine) materializeState(img []uint64, sigW, ffW int) {
+func (m *Machine) materializeState(img Image) {
 	ev := m.ev
 	for _, fi := range ev.latch {
 		ev.inLatch[fi] = true
 	}
-	base := 2 * sigW
+	base := 2 * m.sigW
 	for fi := range m.sz {
 		if ev.inLatch[fi] {
 			continue
 		}
-		w, b := fi>>6, uint(fi)&63
-		m.sz[fi] = -(img[base+w] >> b & 1)
-		m.so[fi] = -(img[base+ffW+w] >> b & 1)
+		m.sz[fi], m.so[fi] = imageFF(img, base, m.ffW, fi)
 	}
 	for _, fi := range ev.latch {
 		ev.inLatch[fi] = false

@@ -131,26 +131,7 @@ func TestEventKernelDifferentialScan(t *testing.T) {
 	c := sc.Scan
 	faults := fault.Universe(c, true)
 	rng := rand.New(rand.NewSource(7))
-	seq := make(logic.Sequence, 0, 6*(sc.NSV+2))
-	for test := 0; test < 6; test++ {
-		state := make([]logic.Value, sc.NSV)
-		for i := range state {
-			state[i] = logic.Value(rng.Intn(2))
-		}
-		load, err := sc.ScanInSequence(state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq = append(seq, load...)
-		for f := 0; f < 2; f++ {
-			orig := logic.NewVector(sc.Orig.NumInputs())
-			for i := range orig {
-				orig[i] = logic.Value(rng.Intn(2))
-			}
-			seq = append(seq, sc.FunctionalVector(orig))
-		}
-		seq = append(seq, sc.FlushVectors(0)...)
-	}
+	seq := scanTestSeq(t, sc, rng, 6)
 	for _, workers := range []int{1, 3} {
 		s := NewSimulator(c, workers)
 		ev := diffKernels(t, s, seq, faults, Options{}, "s298_scan")

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -40,6 +41,16 @@ type Machine struct {
 	pinBase   []int32 // per gate: index of its pin 0 in pinSA0/pinSA1
 	hasFaults bool
 	injected  []fault.Fault
+	injMask   []uint64 // slot mask of each injected fault, parallel to injected
+
+	// injAt lists the positions in c.Order of the gates the full sweep
+	// must evaluate with injection: those carrying a pin fault, or a
+	// stuck-at or transition fault on their output stem. Every other
+	// gate takes the plain read. Injection appends (unsorted, possibly
+	// repeated) and clears injSorted; eval sorts and dedupes it once.
+	injAt     []int32
+	injSorted bool
+	orderPos  []int32 // per gate: its position in c.Order
 
 	// Transition (gross-delay) faults: slow-to-rise delays rising
 	// transitions by one cycle (site value = AND of current and
@@ -47,6 +58,8 @@ type Machine struct {
 	trans    []transSite
 	transAt  []int32 // per signal: index into trans, or -1
 	hasTrans bool
+
+	sigW, ffW int // Image plane widths in words (see Image)
 
 	// ev is the event-driven kernel's scratch state (see event.go),
 	// allocated on first use and reused across batches.
@@ -83,6 +96,12 @@ func New(c *netlist.Circuit) *Machine {
 		ffSA0:   make([]uint64, len(c.FFs)),
 		ffSA1:   make([]uint64, len(c.FFs)),
 		pinBase: pinBase,
+		sigW:    sigWords(c),
+		ffW:     ffWords(c),
+	}
+	m.orderPos = make([]int32, len(c.Gates))
+	for i, gi := range c.Order {
+		m.orderPos[gi] = int32(i)
 	}
 	m.Reset()
 	return m
@@ -106,13 +125,15 @@ func (m *Machine) Reset() {
 
 // InjectFault adds stuck-at fault f to the slots selected by mask. The
 // same Machine can carry many faults at once (one per slot is the usual
-// arrangement for parallel-fault simulation).
+// arrangement for parallel-fault simulation, in any slot order).
 func (m *Machine) InjectFault(f fault.Fault, mask uint64) error {
 	var sa0, sa1 *uint64
 	site := f.Site
+	gate := int32(-1)
 	switch {
 	case site.IsStem():
 		sa0, sa1 = &m.stemSA0[site.Signal], &m.stemSA1[site.Signal]
+		gate = m.stemGate(site.Signal)
 	case site.FF >= 0:
 		sa0, sa1 = &m.ffSA0[site.FF], &m.ffSA1[site.FF]
 	default:
@@ -125,6 +146,7 @@ func (m *Machine) InjectFault(f fault.Fault, mask uint64) error {
 		}
 		idx := m.pinBase[site.Gate] + site.Pin
 		sa0, sa1 = &m.pinSA0[idx], &m.pinSA1[idx]
+		gate = site.Gate
 	}
 	switch f.SA {
 	case logic.Zero:
@@ -134,9 +156,29 @@ func (m *Machine) InjectFault(f fault.Fault, mask uint64) error {
 	default:
 		return fmt.Errorf("sim: stuck-at value must be 0 or 1")
 	}
+	if gate >= 0 {
+		m.markInjected(gate)
+	}
 	m.hasFaults = true
 	m.injected = append(m.injected, f)
+	m.injMask = append(m.injMask, mask)
 	return nil
+}
+
+// markInjected queues gate gi for evaluation with injection.
+func (m *Machine) markInjected(gi int32) {
+	m.injAt = append(m.injAt, m.orderPos[gi])
+	m.injSorted = false
+}
+
+// stemGate returns the gate driving signal s, or -1 for primary inputs
+// and flip-flop outputs (whose stem injection finishStep applies
+// outside the gate sweep).
+func (m *Machine) stemGate(s netlist.SignalID) int32 {
+	if m.c.Signals[s].Kind == netlist.KindGate {
+		return m.c.Signals[s].Driver
+	}
+	return -1
 }
 
 // InjectTransitionFault adds a gross-delay transition fault on the stem
@@ -172,6 +214,9 @@ func (m *Machine) InjectTransitionFault(sig netlist.SignalID, slowToRise bool, m
 		next:       m.transAt[sig],
 	})
 	m.transAt[sig] = idx
+	if gi := m.stemGate(sig); gi >= 0 {
+		m.markInjected(gi)
+	}
 	m.hasFaults = true
 	m.hasTrans = true
 	return nil
@@ -197,13 +242,10 @@ func (m *Machine) applyTrans(ti int32, z, o uint64) (uint64, uint64) {
 	return z, o
 }
 
-// maybeTrans applies the signal's transition sites, if any. Multiple
+// stepTrans applies the signal's transition sites, if any. Multiple
 // sites on one signal occupy disjoint slot masks, so the application
-// order is irrelevant.
-func (m *Machine) maybeTrans(sig netlist.SignalID, z, o uint64) (uint64, uint64) {
-	if !m.hasTrans {
-		return z, o
-	}
+// order is irrelevant. Callers check hasTrans first.
+func (m *Machine) stepTrans(sig netlist.SignalID, z, o uint64) (uint64, uint64) {
 	for ti := m.transAt[sig]; ti >= 0; ti = m.trans[ti].next {
 		z, o = m.applyTrans(ti, z, o)
 	}
@@ -239,6 +281,8 @@ func (m *Machine) ClearFaults() {
 		}
 	}
 	m.injected = m.injected[:0]
+	m.injMask = m.injMask[:0]
+	m.injAt = m.injAt[:0]
 	m.hasFaults = false
 }
 
@@ -398,14 +442,20 @@ func (m *Machine) finishStep() {
 		// Stem injection on primary inputs.
 		for _, in := range c.Inputs {
 			z, o := applyInj(m.zero[in], m.one[in], m.stemSA0[in], m.stemSA1[in])
-			m.zero[in], m.one[in] = m.maybeTrans(in, z, o)
+			if m.hasTrans {
+				z, o = m.stepTrans(in, z, o)
+			}
+			m.zero[in], m.one[in] = z, o
 		}
 		// Load flip-flop outputs with stem injection.
 		for fi, ff := range c.FFs {
 			z, o := applyInj(m.sz[fi], m.so[fi], m.stemSA0[ff.Q], m.stemSA1[ff.Q])
-			m.zero[ff.Q], m.one[ff.Q] = m.maybeTrans(ff.Q, z, o)
+			if m.hasTrans {
+				z, o = m.stepTrans(ff.Q, z, o)
+			}
+			m.zero[ff.Q], m.one[ff.Q] = z, o
 		}
-		m.evalFaulty()
+		m.eval()
 		// Latch next state with D-pin injection.
 		for fi, ff := range c.FFs {
 			m.sz[fi], m.so[fi] = applyInj(m.zero[ff.D], m.one[ff.D], m.ffSA0[fi], m.ffSA1[fi])
@@ -415,16 +465,38 @@ func (m *Machine) finishStep() {
 	for fi, ff := range c.FFs {
 		m.zero[ff.Q], m.one[ff.Q] = m.sz[fi], m.so[fi]
 	}
-	m.evalClean()
+	m.eval()
 	for fi, ff := range c.FFs {
 		m.sz[fi], m.so[fi] = m.zero[ff.D], m.one[ff.D]
 	}
 }
 
-// evalClean evaluates every gate with no fault masks (fast path).
-func (m *Machine) evalClean() {
+// eval evaluates every gate in levelized order. The gates listed in
+// injAt go through evalInjected and the runs between them through
+// evalPlain, so a machine with a handful of injected sites pays for
+// injection only at those gates, and a fault-free machine runs one
+// plain sweep.
+func (m *Machine) eval() {
+	if !m.injSorted {
+		slices.Sort(m.injAt)
+		m.injAt = slices.Compact(m.injAt)
+		m.injSorted = true
+	}
+	order := m.c.Order
+	next := int32(0)
+	for _, p := range m.injAt {
+		m.evalPlain(order[next:p])
+		m.evalInjected(order[p])
+		next = p + 1
+	}
+	m.evalPlain(order[next:])
+}
+
+// evalPlain evaluates the gates of run, in order, reading their inputs
+// with no fault masks.
+func (m *Machine) evalPlain(run []int32) {
 	zero, one := m.zero, m.one
-	for _, gi := range m.c.Order {
+	for _, gi := range run {
 		g := &m.c.Gates[gi]
 		in0 := g.In[0]
 		z, o := zero[in0], one[in0]
@@ -461,49 +533,48 @@ func (m *Machine) evalClean() {
 	}
 }
 
-// evalFaulty evaluates every gate applying branch-pin and stem fault
-// masks.
-func (m *Machine) evalFaulty() {
-	zero, one := m.zero, m.one
-	for _, gi := range m.c.Order {
-		g := &m.c.Gates[gi]
-		base := m.pinBase[gi]
-		z, o := m.readPin(g.In[0], base)
-		switch g.Type {
-		case netlist.BUF:
-		case netlist.NOT:
-			z, o = o, z
-		case netlist.AND, netlist.NAND:
-			for p := 1; p < len(g.In); p++ {
-				bz, bo := m.readPin(g.In[p], base+int32(p))
-				z |= bz
-				o &= bo
-			}
-			if g.Type == netlist.NAND {
-				z, o = o, z
-			}
-		case netlist.OR, netlist.NOR:
-			for p := 1; p < len(g.In); p++ {
-				bz, bo := m.readPin(g.In[p], base+int32(p))
-				o |= bo
-				z &= bz
-			}
-			if g.Type == netlist.NOR {
-				z, o = o, z
-			}
-		case netlist.XOR, netlist.XNOR:
-			for p := 1; p < len(g.In); p++ {
-				bz, bo := m.readPin(g.In[p], base+int32(p))
-				z, o = (z&bz)|(o&bo), (z&bo)|(o&bz)
-			}
-			if g.Type == netlist.XNOR {
-				z, o = o, z
-			}
+// evalInjected evaluates gate gi applying its branch-pin, output-stem
+// and transition fault masks.
+func (m *Machine) evalInjected(gi int32) {
+	g := &m.c.Gates[gi]
+	base := m.pinBase[gi]
+	z, o := m.readPin(g.In[0], base)
+	switch g.Type {
+	case netlist.BUF:
+	case netlist.NOT:
+		z, o = o, z
+	case netlist.AND, netlist.NAND:
+		for p := 1; p < len(g.In); p++ {
+			bz, bo := m.readPin(g.In[p], base+int32(p))
+			z |= bz
+			o &= bo
 		}
-		z, o = applyInj(z, o, m.stemSA0[g.Out], m.stemSA1[g.Out])
-		z, o = m.maybeTrans(g.Out, z, o)
-		zero[g.Out], one[g.Out] = z, o
+		if g.Type == netlist.NAND {
+			z, o = o, z
+		}
+	case netlist.OR, netlist.NOR:
+		for p := 1; p < len(g.In); p++ {
+			bz, bo := m.readPin(g.In[p], base+int32(p))
+			o |= bo
+			z &= bz
+		}
+		if g.Type == netlist.NOR {
+			z, o = o, z
+		}
+	case netlist.XOR, netlist.XNOR:
+		for p := 1; p < len(g.In); p++ {
+			bz, bo := m.readPin(g.In[p], base+int32(p))
+			z, o = (z&bz)|(o&bo), (z&bo)|(o&bz)
+		}
+		if g.Type == netlist.XNOR {
+			z, o = o, z
+		}
 	}
+	z, o = applyInj(z, o, m.stemSA0[g.Out], m.stemSA1[g.Out])
+	if m.hasTrans {
+		z, o = m.stepTrans(g.Out, z, o)
+	}
+	m.zero[g.Out], m.one[g.Out] = z, o
 }
 
 func (m *Machine) readPin(s netlist.SignalID, pin int32) (z, o uint64) {

@@ -111,13 +111,10 @@ func (s *Simulator) Release(m *Machine) { s.pool.Put(m) }
 // actually needs.
 //
 // Besides the primary-output rows the full-evaluation kernel compares
-// against, the trace (for the event kernel) caches a compact image of
-// every vector: two bits per signal (can-be-0, can-be-1) plus two bits
-// per flip-flop of the state reached after the vector. The good
-// machine's planes are uniform across all 64 slots — no faults, inputs
-// broadcast — so slot 0 carries the whole picture and the image costs
-// 2·ceil(nSig/64)+2·ceil(nFF/64) words per vector. Image layout:
-// [sigZero | sigOne | ffZero | ffOne].
+// against, the trace (for the event kernel) caches an Image of every
+// vector. The good machine's planes are uniform across all 64 slots —
+// no faults, inputs broadcast — so slot 0 carries the whole picture and
+// the image costs 2·ceil(nSig/64)+2·ceil(nFF/64) words per vector.
 type goodTrace struct {
 	seq      logic.Sequence
 	m        *Machine
@@ -127,8 +124,7 @@ type goodTrace struct {
 	rows     [][]logic.Value
 
 	withImages bool
-	sigW, ffW  int
-	imgs       [][]uint64
+	imgs       []Image
 
 	// Cache bookkeeping, guarded by the owning Simulator's trMu.
 	initState []logic.Value // copy of the creating Run's InitialState
@@ -149,9 +145,7 @@ func (s *Simulator) newTrace(seq logic.Sequence, opts Options) *goodTrace {
 	}
 	if opts.Kernel != KernelFull {
 		tr.withImages = true
-		tr.sigW = (len(s.c.Signals) + 63) / 64
-		tr.ffW = (len(s.c.FFs) + 63) / 64
-		tr.imgs = make([][]uint64, len(seq))
+		tr.imgs = make([]Image, len(seq))
 	}
 	if opts.InitialState != nil {
 		tr.m.SetStateBroadcast(opts.InitialState)
@@ -242,29 +236,12 @@ func (tr *goodTrace) ensure(t int) {
 		}
 		tr.rows[p] = row
 		if tr.withImages {
-			tr.imgs[p] = tr.captureImage()
+			img := make(Image, ImageWords(tr.m.c))
+			tr.m.CaptureImage(img)
+			tr.imgs[p] = img
 		}
 		tr.produced.Store(int64(p + 1))
 	}
-}
-
-// captureImage compresses slot 0 of the good machine's planes into a
-// per-vector image (see goodTrace).
-func (tr *goodTrace) captureImage() []uint64 {
-	m := tr.m
-	img := make([]uint64, 2*tr.sigW+2*tr.ffW)
-	for s := range m.zero {
-		w, b := s>>6, uint(s)&63
-		img[w] |= (m.zero[s] & 1) << b
-		img[tr.sigW+w] |= (m.one[s] & 1) << b
-	}
-	base := 2 * tr.sigW
-	for fi := range m.sz {
-		w, b := fi>>6, uint(fi)&63
-		img[base+w] |= (m.sz[fi] & 1) << b
-		img[base+tr.ffW+w] |= (m.so[fi] & 1) << b
-	}
-	return img
 }
 
 // row returns the fault-free output values at vector t, extending the
@@ -278,7 +255,7 @@ func (tr *goodTrace) row(t int) []logic.Value {
 
 // image returns the compact fault-free image of vector t, extending the
 // trace if needed. Only valid on traces built for the event kernel.
-func (tr *goodTrace) image(t int) []uint64 {
+func (tr *goodTrace) image(t int) Image {
 	if int64(t) >= tr.produced.Load() {
 		tr.ensure(t)
 	}
