@@ -14,12 +14,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the .bench parser fuzzer for a short smoke interval, as CI
-# does. Override with FUZZTIME=5m for a longer local run.
+# fuzz runs the .bench parser and job-spec decoder fuzzers for a short
+# smoke interval each, as CI does. Override with FUZZTIME=5m for a
+# longer local run.
 FUZZTIME ?= 20s
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime $(FUZZTIME) ./internal/bench
+	$(GO) test -fuzz=FuzzDecodeSpec -fuzztime $(FUZZTIME) ./internal/jobs
 
 # metrics-check exercises the -metrics flight recorder end to end: a
 # tiny s27 generation+compaction run writes a JSONL file, and

@@ -13,7 +13,8 @@
 //	scanctl top                     # live jobs + worker-fleet view
 //
 // submit prints the accepted job's status; add -watch to follow the
-// event stream and exit non-zero unless the job completes.
+// event stream and exit non-zero unless the job completes. A compact
+// job runs one restore-then-omit task per circuit.
 package main
 
 import (
@@ -131,8 +132,7 @@ func submit(ctx context.Context, c *jobs.Client, args []string) error {
 	fs.BoolVar(&sp.SkipBaseline, "skip-baseline", false, "skip the conventional-scan baseline")
 	fs.BoolVar(&sp.SkipCompaction, "skip-compaction", false, "skip compaction")
 	fs.IntVar(&sp.Partitions, "partitions", 0, "fault shards per circuit (simulate flow)")
-	fs.IntVar(&sp.SeqLen, "seq-len", 0, "sequence length (simulate/compact flows; 0 = 128)")
-	fs.IntVar(&sp.OmitShards, "omit-shards", 0, "omission window chunks per circuit (compact flow; 0 = 1)")
+	fs.IntVar(&sp.SeqLen, "seq-len", 0, fmt.Sprintf("sequence length (simulate/compact flows; 0 = 128, at most %d)", jobs.MaxSeqLen))
 	fs.IntVar(&sp.Priority, "priority", 0, "queue priority class (higher runs first)")
 	fs.Int64Var(&sp.TimeoutMS, "timeout-ms", 0, "job wall-clock budget in ms")
 	fs.Int64Var(&sp.MaxAttempts, "max-attempts", 0, "per-task generation attempt cap")

@@ -1,12 +1,11 @@
 // Command scand serves ATPG as a service: an HTTP/JSON job API over
 // internal/jobs. Clients submit a flow (generate, translate, sharded
-// fault simulation or sharded compaction) over catalog circuits; tasks
-// queue tenant-fair in priority order — disjoint Slots-aligned fault
-// shards of a simulate job, restore-then-omission-chunk chains of a
-// compact job — and every job is budgeted, checkpointed, observable as
-// a live JSONL event stream, and resumable after a cancel, a drain or
-// a process restart with results bit-identical to an uninterrupted
-// run.
+// fault simulation or compaction) over catalog circuits; tasks queue
+// tenant-fair in priority order — one per circuit, or disjoint
+// Slots-aligned fault shards of a simulate job — and every job is
+// budgeted, checkpointed, observable as a live JSONL event stream, and
+// resumable after a cancel, a drain or a process restart with results
+// bit-identical to an uninterrupted run.
 //
 // Every task runs under a lease: on in-process workers (-workers, named
 // local-N, claiming by direct calls), on remote cmd/scanworker

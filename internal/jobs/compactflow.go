@@ -9,13 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// executeCompact runs one compact-flow task — the restoration stage
-// (chunk < 0) or one omission window chunk — from plain inputs: spec,
-// circuit name, the restore stage's kept mask (chunk tasks), and a
-// Control wired to the task's checkpoint store. Nothing server-side is
-// touched: where the store lives and how the result travels is the
-// leasing Worker's business.
-func executeCompact(sp *Spec, circuit string, chunk int, restoredKept string, ctl *runctl.Control, rec obs.Observer) *taskResult {
+// executeCompact runs one compact-flow task from plain inputs: the
+// restoration pass over the circuit's seeded sequence, then omission
+// over the restored sequence (compact.RestoreThenOmitOpts), both on the
+// task's one checkpoint store. A stop in either pass leaves its
+// boundary in the store, and a resumed run skips a finished
+// restoration by its checkpoint. The result row's kept mask
+// composes the two passes' checkpointed masks over the input sequence.
+// Nothing server-side is touched: where the store lives and how the
+// result travels is the leasing Worker's business.
+func executeCompact(sp *Spec, circuit string, ctl *runctl.Control, rec obs.Observer) *taskResult {
 	d, faults, err := simWorkload(circuit, sp)
 	if err != nil {
 		return &taskResult{Status: runctl.Failed, Error: err.Error()}
@@ -29,77 +32,43 @@ func executeCompact(sp *Spec, circuit string, chunk int, restoredKept string, ct
 		Control: ctl,
 		Obs:     rec,
 	}
-	ctl.Resume = true
-
-	if chunk < 0 {
-		restored, rst := compact.RestoreOpts(d.Scan, seq, faults, opts)
-		res := &taskResult{Status: rst.Status, Faults: len(faults)}
-		if rst.Status == runctl.Failed {
-			res.Error = statsError(rst)
-			return res
-		}
-		if !rst.Status.Done() {
-			return res
-		}
-		st, ok, err := compact.LoadRestoreState(ctl.Store, len(seq), len(faults), sp.order())
-		if err != nil || !ok {
-			res.Status = runctl.Failed
-			res.Error = fmt.Sprintf("restore checkpoint readback: ok=%v err=%v", ok, err)
-			return res
-		}
-		res.Kept = st.Kept
-		res.Compact = &compactTaskStats{
-			TargetFaults: rst.TargetFaults,
-			RestoredLen:  len(restored),
-			RestoreExtra: rst.ExtraDetected,
+	restored, out, rst, ost := compact.RestoreThenOmitOpts(d.Scan, seq, faults, opts)
+	if !ost.Status.Done() {
+		// A stop or failure in either pass: a restoration stop is
+		// carried into ost.
+		res := &taskResult{Status: ost.Status}
+		if ost.Err != nil {
+			res.Error = ost.Err.Error()
 		}
 		return res
 	}
 
-	restored, err := compact.ApplyMask(seq, restoredKept)
-	if err != nil {
-		return &taskResult{Status: runctl.Failed, Error: err.Error()}
-	}
-	chunks := sp.omitShards()
-	out, ost, chunkDone, err := compact.OmitChunkOpts(d.Scan, restored, faults, opts, chunk, chunks)
-	if err != nil {
-		return &taskResult{Status: runctl.Failed, Error: err.Error()}
-	}
-	if !chunkDone {
-		// Stopped short of the chunk's window share by the job's own
-		// budget, a cancel or a drain; the checkpoint has the boundary.
-		return &taskResult{Status: ost.Status, Error: statsError(ost)}
-	}
-	if chunk < chunks-1 {
-		// An intermediate chunk's entire deliverable is its checkpoint;
-		// the task completes even though the pass's Status is a budget
-		// stop by construction.
-		return &taskResult{Status: runctl.Complete}
-	}
-	st, ok, err := compact.LoadOmitState(ctl.Store, len(restored), len(faults))
-	if err != nil || !ok {
+	rs, ok, err := compact.LoadRestoreState(ctl.Store, len(seq), len(faults), sp.order())
+	if err != nil || !ok || !rs.Done {
 		return &taskResult{Status: runctl.Failed,
-			Error: fmt.Sprintf("omit checkpoint readback: ok=%v err=%v", ok, err)}
+			Error: fmt.Sprintf("restore checkpoint readback: ok=%v done=%v err=%v", ok, rs.Done, err)}
 	}
-	kept, err := compact.ComposeKept(restoredKept, st.Kept)
+	om, ok, err := compact.LoadOmitState(ctl.Store, len(restored), len(faults))
+	if err != nil || !ok || !om.Done {
+		return &taskResult{Status: runctl.Failed,
+			Error: fmt.Sprintf("omit checkpoint readback: ok=%v done=%v err=%v", ok, om.Done, err)}
+	}
+	kept, err := compact.ComposeKept(rs.Kept, om.Kept)
 	if err != nil {
 		return &taskResult{Status: runctl.Failed, Error: err.Error()}
 	}
-	return &taskResult{
-		Status: ost.Status,
-		Faults: len(faults),
-		Kept:   kept,
-		Compact: &compactTaskStats{
-			CompactedLen: len(out),
-			OmitExtra:    ost.ExtraDetected,
-		},
+	status := rst.Status
+	if ost.Status != runctl.Complete {
+		status = ost.Status
 	}
-}
-
-// statsError extracts a pass's error text, empty when none.
-func statsError(st compact.Stats) string {
-	if st.Err != nil {
-		return st.Err.Error()
-	}
-	return ""
+	return &taskResult{Status: status, Compact: &CompactResult{
+		Circuit:       circuit,
+		SeqLen:        sp.seqLen(),
+		Faults:        len(faults),
+		TargetFaults:  rst.TargetFaults,
+		RestoredLen:   len(restored),
+		CompactedLen:  len(out),
+		ExtraDetected: rst.ExtraDetected + ost.ExtraDetected,
+		Kept:          kept,
+	}}
 }

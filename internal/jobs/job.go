@@ -18,30 +18,16 @@ import (
 )
 
 // task is one schedulable unit of a job: a whole circuit run
-// (generate/translate flows), one fault shard of a circuit (simulate
-// flow), or one stage of a circuit's compaction chain (compact flow:
-// the restoration pass, then each omission window chunk). Workers —
-// in-process or remote scanworker processes — lease tasks from the
-// queue; tasks with no dependency between them carry disjoint work, so
-// any number of workers can run one job concurrently, while a compact
-// circuit's chain enqueues each link only when its predecessor
-// completes.
+// (generate, translate and compact flows) or one fault shard of a
+// circuit (simulate flow). Workers — in-process or remote scanworker
+// processes — lease tasks from the queue; tasks carry disjoint work, so
+// any number of workers can run one job concurrently.
 type task struct {
 	job     *job
 	idx     int
 	circuit string
 	shard   sim.FaultRange // simulate flow only
 
-	// chunk is the omission window-chunk index for compact-flow omit
-	// tasks; -1 marks every other task (including the restore stage).
-	chunk int
-	// restoreIdx is the index of the circuit's restore task (compact
-	// omit chunks only) — the task whose result carries the restored
-	// kept mask.
-	restoreIdx int
-	// deps lists task indices that must complete before this task may
-	// be claimed.
-	deps []int
 	// retried marks a task re-enqueued in the same leg after its
 	// worker's lease expired: the re-run resumes from the reclaimed
 	// checkpoint and must not re-fire deterministic-interrupt hooks.
@@ -64,26 +50,8 @@ type taskResult struct {
 	// Faults is the shard's circuit-wide fault-universe size, pinned so
 	// result assembly never depends on re-deriving it.
 	Faults int `json:"faults,omitempty"`
-	// Kept is a compact-flow kept mask over the input sequence: the
-	// restore task's restoration mask, or the final omit chunk's fully
-	// compacted mask (restoration ∘ omission). Omit chunks read their
-	// circuit's restore-task Kept to rebuild the restored sequence.
-	Kept string `json:"kept,omitempty"`
-	// Compact carries a compact-flow stage's semantic stats.
-	Compact *compactTaskStats `json:"compact,omitempty"`
-}
-
-// compactTaskStats is the deterministic, scheduling-free part of a
-// compaction stage's Stats — what result assembly folds into the job's
-// CompactResult rows. Work accounting (Simulations, BatchSteps) stays
-// out: chunked runs re-simulate per chunk, so it is the one part of
-// Stats that legitimately varies with omit_shards.
-type compactTaskStats struct {
-	TargetFaults int `json:"target_faults,omitempty"`
-	RestoredLen  int `json:"restored_len,omitempty"`
-	RestoreExtra int `json:"restore_extra,omitempty"`
-	CompactedLen int `json:"compacted_len,omitempty"`
-	OmitExtra    int `json:"omit_extra,omitempty"`
+	// Compact is a compact-flow circuit's result row.
+	Compact *CompactResult `json:"compact,omitempty"`
 }
 
 // job is the server-side state of one submission. All mutable fields
@@ -95,10 +63,9 @@ type job struct {
 
 	status    Status
 	tasks     []*task
-	pending   int    // enqueued-or-running tasks not yet reported this leg
-	enq       []bool // per-task: enqueued at least once this leg
-	canceled  bool   // explicit cancel request (vs. budget/drain stop)
-	legClosed bool   // no further task of this leg may start
+	pending   int  // enqueued-or-running tasks not yet reported this leg
+	canceled  bool // explicit cancel request (vs. budget/drain stop)
+	legClosed bool // no further task of this leg may start
 	resumeLeg bool
 	// deadline is the leg's wall-clock budget end (zero: none); leases
 	// carry the remainder as Assignment.TimeoutMS.
@@ -122,8 +89,7 @@ func (j *job) taskResultPath(i int) string {
 }
 
 // buildTasks expands a validated spec into its task list: one task per
-// circuit, one per (circuit, fault shard) for the simulate flow, or a
-// restore-then-omit-chunks chain per circuit for the compact flow.
+// circuit, or one per (circuit, fault shard) for the simulate flow.
 // Simulate partitioning needs each circuit's fault-universe size, so
 // the circuits are instantiated here once, at submit time.
 func buildTasks(j *job) error {
@@ -142,21 +108,6 @@ func buildTasks(j *job) error {
 				}
 				j.addTask(taskName, name, r)
 			}
-		case FlowCompact:
-			// The chain: restoration first, then each omission window
-			// chunk depending on its predecessor. Chunk k's checkpoint
-			// store is seeded from chunk k-1's, so any worker — local or
-			// remote — continues the grid exactly where the previous
-			// chunk's checkpoint left it.
-			ri := j.addTask(name+"/restore", name, sim.FaultRange{}).idx
-			prev := ri
-			for k := 0; k < sp.omitShards(); k++ {
-				t := j.addTask(fmt.Sprintf("%s/omit-%d", name, k), name, sim.FaultRange{})
-				t.chunk = k
-				t.restoreIdx = ri
-				t.deps = []int{prev}
-				prev = t.idx
-			}
 		default:
 			j.addTask(name, name, sim.FaultRange{})
 		}
@@ -164,11 +115,9 @@ func buildTasks(j *job) error {
 	return nil
 }
 
-func (j *job) addTask(name, circuit string, r sim.FaultRange) *task {
-	t := &task{job: j, idx: len(j.tasks), circuit: circuit, shard: r, chunk: -1}
-	j.tasks = append(j.tasks, t)
+func (j *job) addTask(name, circuit string, r sim.FaultRange) {
+	j.tasks = append(j.tasks, &task{job: j, idx: len(j.tasks), circuit: circuit, shard: r})
 	j.status.Tasks = append(j.status.Tasks, TaskStatus{Name: name})
-	return t
 }
 
 // simWorkload instantiates the simulate flow's deterministic inputs for
@@ -216,7 +165,6 @@ func (j *job) openLeg(resume bool) error {
 	})
 
 	j.pending = 0
-	j.enq = make([]bool, len(j.tasks))
 	for i := range j.status.Tasks {
 		if !j.status.Tasks[i].Done {
 			j.status.Tasks[i].Started = false
@@ -232,40 +180,22 @@ func (j *job) openLeg(resume bool) error {
 	return nil
 }
 
-// enqueue pushes every ready unfinished task onto the server queue; a
-// task blocked on an unfinished dependency is enqueued later, by its
-// predecessor's taskFinished. pending counts only enqueued tasks —
-// dependents of a task that stops short of completion are never
-// enqueued and never counted, so the leg settles (suspended, resumable)
-// the moment every task that could run has reported. Called with the
-// server lock held.
+// enqueue pushes every unfinished task onto the server queue and counts
+// it pending, so the leg settles (complete, or suspended and resumable)
+// once every one has reported. Called with the server lock held.
 func (j *job) enqueue() {
-	for i := range j.tasks {
-		j.maybeEnqueueLocked(i)
-	}
-}
-
-// maybeEnqueueLocked pushes task i when it is ready: unfinished, not
-// yet enqueued this leg, every dependency complete, and the leg still
-// open. Called with the server lock held.
-func (j *job) maybeEnqueueLocked(i int) {
-	if j.legClosed || j.enq[i] || j.status.Tasks[i].Done {
-		return
-	}
-	for _, d := range j.tasks[i].deps {
-		if !j.status.Tasks[d].Done {
-			return
+	for i, t := range j.tasks {
+		if !j.status.Tasks[i].Done {
+			j.pending++
+			j.srv.q.push(t)
 		}
 	}
-	j.enq[i] = true
-	j.pending++
-	j.srv.q.push(j.tasks[i])
 }
 
 // executeFlow runs one leased task from plain inputs, with no job or
 // server state: Worker.runAssignment is its one caller, for in-process
 // and remote workers alike.
-func executeFlow(sp *Spec, circuit string, shard sim.FaultRange, chunk int, restoredKept string, ctl *runctl.Control, rec obs.Observer) *taskResult {
+func executeFlow(sp *Spec, circuit string, shard sim.FaultRange, ctl *runctl.Control, rec obs.Observer) *taskResult {
 	switch sp.Flow {
 	case FlowGenerate, FlowTranslate:
 		cfg := core.Config{
@@ -301,32 +231,9 @@ func executeFlow(sp *Spec, circuit string, shard sim.FaultRange, chunk int, rest
 		}
 		return out
 	case FlowCompact:
-		return executeCompact(sp, circuit, chunk, restoredKept, ctl, rec)
+		return executeCompact(sp, circuit, ctl, rec)
 	}
 	return &taskResult{Status: runctl.Failed, Error: "jobs: unknown flow " + sp.Flow}
-}
-
-// seedChunkCheckpoint copies the predecessor omission chunk's
-// checkpoint file into an omit task's own store when the task has none
-// yet — how chunk k picks up the grid exactly where chunk k-1 stopped.
-// A task that already has a checkpoint (its own interrupted or
-// reclaimed run) keeps it: it is never older than the predecessor's.
-func (j *job) seedChunkCheckpoint(t *task) error {
-	if t.chunk <= 0 {
-		return nil
-	}
-	own := j.ckptPath(t.idx)
-	if _, err := os.Stat(own); err == nil {
-		return nil
-	}
-	data, err := os.ReadFile(j.ckptPath(t.deps[0]))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(own, data)
 }
 
 // flowResult normalizes a core flow's (status, err) pair.
@@ -339,15 +246,14 @@ func flowResult(st runctl.Status, err error, res *taskResult) *taskResult {
 	return res
 }
 
-// taskFinishedLocked records one task's outcome, persists it, enqueues
-// any dependents the completion unblocked, and settles the job when it
-// was the last reporting task of the leg. A stopped task's partial
-// state stays in task-<idx>.ckpt for the next resume leg. Called with
-// the server lock held.
+// taskFinishedLocked records one task's outcome, persists it, and
+// settles the job when it was the last reporting task of the leg. A
+// stopped task's partial state stays in task-<idx>.ckpt for the next
+// resume leg. Called with the server lock held.
 func (j *job) taskFinishedLocked(idx int, res *taskResult) {
 	if res.Status.Done() {
-		// A task is Done only once its result is on disk: dependents and
-		// assembleResultLocked read it back from there.
+		// A task is Done only once its result is on disk:
+		// assembleResultLocked reads it back from there.
 		path := j.taskResultPath(idx)
 		if err := writeJSONFile(path, res); err != nil {
 			res = &taskResult{Status: runctl.Failed, Error: fmt.Sprintf("persist result %s: %v", path, err)}
@@ -356,16 +262,7 @@ func (j *job) taskFinishedLocked(idx int, res *taskResult) {
 	ts := &j.status.Tasks[idx]
 	ts.Status = res.Status
 	ts.Error = res.Error
-	if res.Status.Done() {
-		ts.Done = true
-		for _, t := range j.tasks {
-			for _, d := range t.deps {
-				if d == idx {
-					j.maybeEnqueueLocked(t.idx)
-				}
-			}
-		}
-	}
+	ts.Done = res.Status.Done()
 	j.pending--
 	j.persistStatusLocked()
 	if j.pending == 0 {
@@ -464,36 +361,6 @@ func (j *job) assembleResultLocked() error {
 			}
 			res.Simulate = append(res.Simulate, *sr)
 		}
-	case FlowCompact:
-		// Per circuit: the restore task's result carries the restoration
-		// stats, the final omit chunk's carries the compacted mask and
-		// omission stats. Intermediate chunks contribute nothing — their
-		// whole output is the checkpoint the next chunk consumed — so
-		// the assembled result is independent of omit_shards by
-		// construction.
-		stride := 1 + sp.omitShards()
-		for ci, name := range sp.Circuits {
-			var rr, fr taskResult
-			if err := readJSONFile(j.taskResultPath(ci*stride), &rr); err != nil {
-				return err
-			}
-			if err := readJSONFile(j.taskResultPath(ci*stride+stride-1), &fr); err != nil {
-				return err
-			}
-			if rr.Compact == nil || fr.Compact == nil {
-				return fmt.Errorf("compact results for %s are incomplete", name)
-			}
-			res.Compact = append(res.Compact, CompactResult{
-				Circuit:       name,
-				SeqLen:        sp.seqLen(),
-				Faults:        rr.Faults,
-				TargetFaults:  rr.Compact.TargetFaults,
-				RestoredLen:   rr.Compact.RestoredLen,
-				CompactedLen:  fr.Compact.CompactedLen,
-				ExtraDetected: rr.Compact.RestoreExtra + fr.Compact.OmitExtra,
-				Kept:          fr.Kept,
-			})
-		}
 	default:
 		for i := range j.tasks {
 			var tr taskResult
@@ -505,6 +372,9 @@ func (j *job) assembleResultLocked() error {
 			}
 			if tr.Translate != nil {
 				res.Translate = append(res.Translate, *tr.Translate)
+			}
+			if tr.Compact != nil {
+				res.Compact = append(res.Compact, *tr.Compact)
 			}
 		}
 	}

@@ -118,9 +118,7 @@ type resultUpload struct {
 // Assignment is a leased task's self-contained work order: everything a
 // worker with no access to the server's data directory needs to run the
 // task and nothing else. Checkpoint carries the task's current
-// server-side store (its own interrupted state, or for an omission
-// chunk the predecessor chunk's final checkpoint); RestoredKept carries
-// the compact flow's restoration mask.
+// server-side store: its interrupted, released or reclaimed state.
 type Assignment struct {
 	Lease string `json:"lease"`
 	TTLMS int64  `json:"ttl_ms"`
@@ -132,9 +130,6 @@ type Assignment struct {
 	Circuit    string `json:"circuit"`
 	ShardStart int    `json:"shard_start,omitempty"`
 	ShardEnd   int    `json:"shard_end,omitempty"`
-	// Chunk is the omission chunk index; -1 for every non-chunk task.
-	Chunk        int    `json:"chunk"`
-	RestoredKept string `json:"restored_kept,omitempty"`
 
 	Checkpoint []byte `json:"checkpoint,omitempty"`
 	Resume     bool   `json:"resume"`
@@ -193,7 +188,6 @@ func (s *Server) leaseTask(worker string, t *task) (*Assignment, bool) {
 		s.q.release(tenant)
 		return nil, false
 	}
-	sp := &j.status.Spec
 	a := &Assignment{
 		TTLMS:      s.leaseTTL.Milliseconds(),
 		Job:        j.status.ID,
@@ -203,12 +197,10 @@ func (s *Server) leaseTask(worker string, t *task) (*Assignment, bool) {
 		Circuit:    t.circuit,
 		ShardStart: t.shard.Start,
 		ShardEnd:   t.shard.End,
-		Chunk:      t.chunk,
+		Resume:     j.resumeLeg || t.retried,
 	}
-	resume := j.resumeLeg || t.retried
-	a.Resume = resume || sp.Flow == FlowCompact
-	if !resume {
-		a.StopAfterPolls = sp.StopAfterPolls
+	if !a.Resume {
+		a.StopAfterPolls = j.status.Spec.StopAfterPolls
 	}
 	if !j.deadline.IsZero() {
 		ms := time.Until(j.deadline).Milliseconds()
@@ -216,20 +208,6 @@ func (s *Server) leaseTask(worker string, t *task) (*Assignment, bool) {
 			ms = 1
 		}
 		a.TimeoutMS = ms
-	}
-	if err := j.seedChunkCheckpoint(t); err != nil {
-		s.q.release(tenant)
-		j.taskFinishedLocked(t.idx, &taskResult{Status: runctl.Failed, Error: "seed checkpoint: " + err.Error()})
-		return nil, false
-	}
-	if t.chunk >= 0 {
-		var rr taskResult
-		if err := readJSONFile(j.taskResultPath(t.restoreIdx), &rr); err != nil {
-			s.q.release(tenant)
-			j.taskFinishedLocked(t.idx, &taskResult{Status: runctl.Failed, Error: "restore result: " + err.Error()})
-			return nil, false
-		}
-		a.RestoredKept = rr.Kept
 	}
 	if data, err := os.ReadFile(j.ckptPath(t.idx)); err == nil {
 		a.Checkpoint = data
@@ -271,10 +249,10 @@ func (s *Server) HeartbeatLease(token string, ckpt []byte) (time.Duration, error
 	return s.leaseTTL, nil
 }
 
-// CompleteLease accepts a leased task's final result (and final
-// checkpoint bytes, which the next chunk of a compact chain consumes)
-// and finishes the task. A checkpoint that cannot be persisted fails
-// the task: its successor would otherwise resume from a stale store.
+// CompleteLease accepts a leased task's final result and final
+// checkpoint bytes and finishes the task. A checkpoint that cannot be
+// persisted fails the task: a stopped task would otherwise resume from
+// a stale store.
 func (s *Server) CompleteLease(token string, res *taskResult, ckpt []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

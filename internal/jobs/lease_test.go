@@ -6,16 +6,18 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/runctl"
 )
 
-// TestServerCompactFlow: a compact job completes with per-circuit
-// restoration and omission results, and splitting the omission grid
-// across chunks (omit_shards) and workers returns result bytes
-// identical to the unsharded single-worker job.
+// TestServerCompactFlow: a compact job runs one task per circuit and
+// completes with per-circuit restoration and omission results; the
+// retired omit_shards field and a second worker change neither the task
+// list nor the result bytes.
 func TestServerCompactFlow(t *testing.T) {
 	spec := Spec{Flow: FlowCompact, Circuits: []string{"s27"}, Seed: 5, SeqLen: 96}
 
@@ -47,11 +49,29 @@ func TestServerCompactFlow(t *testing.T) {
 	}
 
 	sharded := spec
+	sharded.Circuits = []string{"s27", "s298"}
 	sharded.OmitShards = 3
 	_, multi := testServer(t, Options{Workers: 2})
-	got := completeJob(t, multi, sharded)
-	if !bytes.Equal(got, unsharded) {
-		t.Fatalf("sharded compact result differs from unsharded:\n--- sharded ---\n%s\n--- unsharded ---\n%s", got, unsharded)
+	st, err := multi.Submit(context.Background(), sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Tasks) != 2 || st.Tasks[0].Name != "s27" || st.Tasks[1].Name != "s298" {
+		t.Fatalf("compact job tasks = %+v, want one per circuit", st.Tasks)
+	}
+	if final := waitTerminal(t, multi, st.ID); final.State != StateComplete {
+		t.Fatalf("job settled %s (error %q)", final.State, final.Error)
+	}
+	got, err := multi.Result(context.Background(), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var both Result
+	if err := json.Unmarshal(got, &both); err != nil {
+		t.Fatal(err)
+	}
+	if len(both.Compact) != 2 || both.Compact[0] != cr || both.Compact[1].Circuit != "s298" {
+		t.Fatalf("two-circuit compact results = %+v, want the s27 row %+v first", both.Compact, cr)
 	}
 }
 
@@ -168,16 +188,20 @@ func (c crashTransport) CompleteClaim(ctx context.Context, token string, _ *task
 }
 
 // TestLeaseReclaimCrashResume is the acceptance scenario: a worker
-// claims a compaction chunk, checkpoints partway through its window
-// share via heartbeat, then dies without releasing. The janitor
-// reclaims the expired lease, a healthy worker resumes the chunk from
-// the uploaded checkpoint, and the job's final result bytes are
-// identical to an uninterrupted single-process run.
+// claims a compact task, checkpoints partway through omission via
+// heartbeat, then dies without releasing. The janitor reclaims the
+// expired lease, a healthy worker resumes the task from the uploaded
+// checkpoint, and the job's final result bytes are identical to an
+// uninterrupted single-process run.
 func TestLeaseReclaimCrashResume(t *testing.T) {
-	spec := Spec{Flow: FlowCompact, Circuits: []string{"s27"}, Seed: 5, SeqLen: 96, OmitShards: 2}
+	spec := Spec{Flow: FlowCompact, Circuits: []string{"s27"}, Seed: 5, SeqLen: 96}
 
 	_, single := testServer(t, Options{Workers: 1})
 	want := completeJob(t, single, spec)
+	var ref Result
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatal(err)
+	}
 
 	s, c := testServer(t, Options{Workers: -1, LeaseTTL: time.Minute})
 	ctx := context.Background()
@@ -186,42 +210,27 @@ func TestLeaseReclaimCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 1: act as a healthy worker for the restore stage.
+	// Phase 1: claim the circuit's one task, stop it in omission's
+	// second window (restoration polls once per target fault, omission
+	// once per window), heartbeat the partial checkpoint — then crash:
+	// no result, no release, no further heartbeats.
 	a, err := c.Claim(ctx, "crashy")
 	if err != nil || a == nil {
-		t.Fatalf("claim restore: %+v, %v", a, err)
+		t.Fatalf("claim: %+v, %v", a, err)
 	}
-	if a.Name != "s27/restore" {
-		t.Fatalf("first claim = %q, want s27/restore", a.Name)
+	if a.Name != "s27" || a.Resume {
+		t.Fatalf("claim = %q resume=%v, want the fresh s27 task", a.Name, a.Resume)
 	}
-	first, err := newWorker(WorkerOptions{Name: "crashy", DataDir: t.TempDir(), Logf: t.Logf}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.runAssignment(ctx, a)
-	if got, err := c.Get(ctx, st.ID); err != nil || !got.Tasks[0].Done {
-		t.Fatalf("restore stage after upload: %+v, %v", got, err)
-	}
-
-	// Phase 2: claim the first omission chunk, stop after a couple of
-	// polls (mid-share), heartbeat the partial checkpoint — then crash:
-	// no result, no release, no further heartbeats.
-	a, err = c.Claim(ctx, "crashy")
-	if err != nil || a == nil {
-		t.Fatalf("claim omit chunk: %+v, %v", a, err)
-	}
-	if a.Name != "s27/omit-0" || a.Chunk != 0 {
-		t.Fatalf("second claim = %q chunk %d, want s27/omit-0", a.Name, a.Chunk)
-	}
-	if a.RestoredKept == "" {
-		t.Fatal("omit chunk assignment lacks the restored kept mask")
-	}
-	a.StopAfterPolls = 2
+	a.StopAfterPolls = int64(ref.Compact[0].TargetFaults + 2)
 	crashing, err := newWorker(WorkerOptions{Name: "crashy", DataDir: t.TempDir(), Logf: t.Logf}, crashTransport{c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	crashing.runAssignment(ctx, a)
+	ckpt, err := os.ReadFile(filepath.Join(s.dataDir, st.ID, "task-0.ckpt"))
+	if err != nil || !bytes.Contains(ckpt, []byte(`"omit"`)) {
+		t.Fatalf("crashed task left no omission checkpoint (err %v):\n%s", err, ckpt)
+	}
 
 	// The janitor reclaims the dead worker's lease once it expires;
 	// jump the server's clock past the TTL instead of waiting a minute.
@@ -243,7 +252,7 @@ func TestLeaseReclaimCrashResume(t *testing.T) {
 	s.testNow = time.Now
 	s.mu.Unlock()
 
-	// Phase 3: a healthy worker drains the rest — the reclaimed chunk
+	// Phase 2: a healthy worker drains the rest — the reclaimed task
 	// resumes from the heartbeated checkpoint.
 	w, err := NewWorker(WorkerOptions{
 		Server: c.Base, Name: "healthy", DataDir: t.TempDir(),

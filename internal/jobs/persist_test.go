@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +17,8 @@ import (
 )
 
 // TestTaskResultWriteFailureFailsTask: a task whose result file cannot
-// be persisted must not be recorded Done — dependents and result
-// assembly read it back from disk — so the task and the job end Failed
+// be persisted must not be recorded Done — result assembly reads it
+// back from disk — so the task and the job end Failed
 // with an error naming the path. A non-empty directory squatting on
 // task-0.result.json makes the final rename fail.
 func TestTaskResultWriteFailureFailsTask(t *testing.T) {
@@ -165,5 +168,82 @@ func TestRetiredEngineFieldReloads(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed result differs from a fresh job's:\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+	}
+}
+
+// TestChainRecordReloads: job records written when a compact circuit
+// ran as a restore task followed by chained omission chunks (tasks
+// s27/restore, s27/omit-0, s27/omit-1) still load. A suspended one
+// comes back not resumable, with the task-count mismatch in the log:
+// its task-N.ckpt files are indexed by the old task list, so resuming
+// it would hand chunk checkpoints to the wrong tasks. A completed one
+// still serves its stored result bytes.
+func TestChainRecordReloads(t *testing.T) {
+	spec := Spec{Flow: FlowCompact, Circuits: []string{"s27"}, Seed: 4, SeqLen: 48, OmitShards: 2}
+	_, ref := testServer(t, Options{Workers: 1})
+	result := completeJob(t, ref, spec)
+
+	dataDir := t.TempDir()
+	chain := func(id string, state State, done bool) {
+		t.Helper()
+		dir := filepath.Join(dataDir, id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		st := Status{ID: id, Spec: spec, State: state, Resumable: !done,
+			Tasks: []TaskStatus{{Name: "s27/restore", Started: true, Done: true}}}
+		for _, name := range []string{"s27/omit-0", "s27/omit-1"} {
+			st.Tasks = append(st.Tasks, TaskStatus{Name: name, Started: done, Done: done})
+		}
+		if err := writeJSONFile(filepath.Join(dir, "job.json"), &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "task-1.ckpt"), []byte("chunk checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			if err := os.WriteFile(filepath.Join(dir, "result.json"), result, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	chain("job-0001", StateSuspended, false)
+	chain("job-0002", StateComplete, true)
+
+	var mu sync.Mutex
+	var logged []string
+	s, err := NewServer(Options{DataDir: dataDir, Workers: -1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Drain)
+
+	st, err := s.Get("job-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateSuspended || st.Resumable {
+		t.Fatalf("old suspended chain job reloaded %s resumable=%v, want suspended and not resumable", st.State, st.Resumable)
+	}
+	if _, err := s.Resume("job-0001"); !errors.Is(err, ErrNotResumable) {
+		t.Fatalf("resume of an old chain job = %v, want ErrNotResumable", err)
+	}
+	mu.Lock()
+	log := strings.Join(logged, "\n")
+	mu.Unlock()
+	if want := "job-0001 is not resumable: spec expands to 1 tasks, record has 3"; !strings.Contains(log, want) {
+		t.Fatalf("server log lacks %q:\n%s", want, log)
+	}
+
+	got, err := s.Result("job-0002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, result) {
+		t.Fatalf("old chain job's result bytes changed on reload:\n%s\nwant\n%s", got, result)
 	}
 }

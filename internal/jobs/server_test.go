@@ -283,9 +283,9 @@ func TestServerCancelResume(t *testing.T) {
 }
 
 // waitMidRun waits until a local worker of s holds the lease on job
-// id's omission chunk task and the chunk has finished its first window
-// — which the in-process worker reports into the job's event stream —
-// and returns that lease and the task's index.
+// id's compact task and the task's omission pass has finished its first
+// window — which the in-process worker reports into the job's event
+// stream — and returns that lease and the task's index.
 func waitMidRun(t *testing.T, s *Server, id, task string) (WorkerInfo, int) {
 	t.Helper()
 	st, err := s.Get(id)
@@ -342,7 +342,7 @@ func TestServerDrainAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, idx := waitMidRun(t, s1, st.ID, "s298/omit-0")
+	_, idx := waitMidRun(t, s1, st.ID, "s298")
 	ckpt := filepath.Join(dataDir, st.ID, fmt.Sprintf("task-%d.ckpt", idx))
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Fatalf("%s exists before the drain (err %v)", ckpt, err)
@@ -406,7 +406,7 @@ func TestServerCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := waitMidRun(t, s, st.ID, "s298/omit-0")
+	l, _ := waitMidRun(t, s, st.ID, "s298")
 	canceled, err := c.Cancel(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -458,6 +458,19 @@ func TestServerHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
+	}
+	// An oversized seq_len is a 400 naming the field, not a worker crash
+	// in the sequence allocation; the server keeps serving.
+	resp, err = c.HTTP.Post(c.Base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"flow":"compact","circuits":["s27"],"seq_len":4611686018427387904}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "seq_len") {
+		t.Fatalf("oversized seq_len: status %d error %q, want a 400 naming seq_len", resp.StatusCode, body.Error)
 	}
 
 	// 404: unknown job everywhere.

@@ -34,7 +34,7 @@ const (
 	FlowGenerate  = "generate"  // the paper's generation flow (core.RunGenerate)
 	FlowTranslate = "translate" // the translation flow (core.RunTranslate)
 	FlowSimulate  = "simulate"  // sharded fault simulation of a seeded sequence
-	FlowCompact   = "compact"   // restoration + chunked omission of a seeded sequence
+	FlowCompact   = "compact"   // restoration + omission of a seeded sequence
 )
 
 // Spec is a job submission: which flow to run, over which circuits,
@@ -44,8 +44,8 @@ const (
 // fields so that a typo in a client request fails loudly with a 400
 // instead of silently running a different job.
 type Spec struct {
-	// Flow selects the pipeline: FlowGenerate, FlowTranslate or
-	// FlowSimulate.
+	// Flow selects the pipeline: FlowGenerate, FlowTranslate,
+	// FlowSimulate or FlowCompact.
 	Flow string `json:"flow"`
 	// Circuits lists catalog circuits; the job runs one task per
 	// circuit (per shard for FlowSimulate), all claimable by different
@@ -74,13 +74,12 @@ type Spec struct {
 	// result is bit-identical for every value.
 	Partitions int `json:"partitions,omitempty"`
 	// SeqLen is the FlowSimulate/FlowCompact sequence length (0 = 128
-	// vectors). The sequence is a pure function of (circuit, seed,
-	// seq_len).
+	// vectors, at most MaxSeqLen). The sequence is a pure function of
+	// (circuit, seed, seq_len).
 	SeqLen int `json:"seq_len,omitempty"`
-	// OmitShards splits each FlowCompact circuit's omission pass into
-	// this many chained window chunks, claimable by different workers as
-	// predecessors finish (0/1 = one omission task). The compacted
-	// result is bit-identical for every value.
+	// OmitShards has no effect: a FlowCompact circuit runs as one task
+	// at every value. It is still accepted and validated so that specs
+	// from older clients and persisted job records keep decoding.
 	OmitShards int `json:"omit_shards,omitempty"`
 	// Priority orders jobs across tenants: all claimable tasks of a
 	// higher priority run before any lower one; within a priority the
@@ -119,6 +118,11 @@ func (e *SpecError) Error() string {
 func specErrf(field, format string, args ...any) error {
 	return &SpecError{Field: field, Reason: fmt.Sprintf(format, args...)}
 }
+
+// MaxSeqLen caps seq_len: a task allocates the whole seeded sequence up
+// front, so an unbounded length would let one spec exhaust a worker's
+// memory.
+const MaxSeqLen = 1 << 16
 
 // validFlows in display order for error messages.
 var validFlows = []string{FlowGenerate, FlowTranslate, FlowSimulate, FlowCompact}
@@ -161,6 +165,9 @@ func (s *Spec) Validate() error {
 	if s.SeqLen < 0 {
 		return specErrf("seq_len", "must be non-negative")
 	}
+	if s.SeqLen > MaxSeqLen {
+		return specErrf("seq_len", "more than %d vectors", MaxSeqLen)
+	}
 	if s.SeqLen > 0 && s.Flow != FlowSimulate && s.Flow != FlowCompact {
 		return specErrf("seq_len", "applies to the simulate and compact flows only")
 	}
@@ -168,7 +175,7 @@ func (s *Spec) Validate() error {
 		return specErrf("omit_shards", "must be non-negative")
 	}
 	if s.OmitShards > 1 && s.Flow != FlowCompact {
-		return specErrf("omit_shards", "omission sharding applies to the compact flow only")
+		return specErrf("omit_shards", "applies to the compact flow only")
 	}
 	if s.OmitShards > 256 {
 		return specErrf("omit_shards", "more than 256 shards")
@@ -248,14 +255,6 @@ func (s *Spec) partitions() int {
 		return 1
 	}
 	return s.Partitions
-}
-
-// omitShards returns the effective omission chunk count.
-func (s *Spec) omitShards() int {
-	if s.OmitShards <= 0 {
-		return 1
-	}
-	return s.OmitShards
 }
 
 // order returns the restoration order the spec selects.

@@ -46,6 +46,11 @@ func TestSpecValidate(t *testing.T) {
 		{"partitions on generate", func(s *Spec) { s.Partitions = 2 }, "partitions"},
 		{"negative seq_len", func(s *Spec) { s.Flow = FlowSimulate; s.SeqLen = -5 }, "seq_len"},
 		{"seq_len on generate", func(s *Spec) { s.SeqLen = 32 }, "seq_len"},
+		{"valid seq_len at cap", func(s *Spec) { s.Flow = FlowCompact; s.SeqLen = MaxSeqLen }, ""},
+		{"seq_len over cap", func(s *Spec) { s.Flow = FlowSimulate; s.SeqLen = MaxSeqLen + 1 }, "seq_len"},
+		// The length that once passed validation and crashed the worker
+		// in TestSequence's allocation.
+		{"huge seq_len", func(s *Spec) { s.Flow = FlowCompact; s.SeqLen = 1 << 62 }, "seq_len"},
 		{"negative omit_shards", func(s *Spec) { s.Flow = FlowCompact; s.OmitShards = -1 }, "omit_shards"},
 		{"omit_shards on generate", func(s *Spec) { s.OmitShards = 2 }, "omit_shards"},
 		{"oversized omit_shards", func(s *Spec) { s.Flow = FlowCompact; s.OmitShards = 300 }, "omit_shards"},

@@ -141,8 +141,7 @@ type SimResult struct {
 // Section 4 pipeline (restoration then omission) applied to the
 // circuit's seeded test sequence. Only semantic, scheduling-free
 // numbers appear — lengths, targets, extra detections and the final
-// kept mask — so the row is byte-identical at every omit_shards value
-// and worker topology.
+// kept mask — so the row is byte-identical at every worker topology.
 type CompactResult struct {
 	Circuit string `json:"circuit"`
 	// SeqLen and Faults pin the workload shape.
@@ -165,11 +164,11 @@ type CompactResult struct {
 }
 
 // Result is a completed job's deliverable. It contains no timestamps,
-// no job ID and no scheduling detail (partition count, worker count,
-// omission chunking): two jobs running the same flow over the same
-// circuits and seed produce byte-identical result JSON no matter how
-// the work was sharded — the property the lifecycle tests and the
-// xcheck invariants lean on.
+// no job ID and no scheduling detail (partition count, worker count):
+// two jobs running the same flow over the same circuits and seed
+// produce byte-identical result JSON no matter how the work was
+// sharded — the property the lifecycle tests and the xcheck invariants
+// lean on.
 type Result struct {
 	Flow      string              `json:"flow"`
 	Generate  []core.GenerateRow  `json:"generate,omitempty"`

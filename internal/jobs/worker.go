@@ -184,8 +184,7 @@ func (w *Worker) runAssignment(ctx context.Context, a *Assignment) {
 		rec = w.observe(a)
 	}
 	res := executeFlow(&a.Spec, a.Circuit,
-		sim.FaultRange{Start: a.ShardStart, End: a.ShardEnd},
-		a.Chunk, a.RestoredKept, ctl, rec)
+		sim.FaultRange{Start: a.ShardStart, End: a.ShardEnd}, ctl, rec)
 	close(hbStop)
 	hbDone.Wait()
 

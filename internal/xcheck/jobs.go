@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compact"
 	"repro/internal/jobs"
+	"repro/internal/logic"
 	"repro/internal/runctl"
 	"repro/internal/sim"
 )
@@ -31,26 +32,69 @@ func checkPartitionMerge(w *Workload) string {
 	return ""
 }
 
-// checkWorkerClaim pins the worker-claim sharding protocol for the
-// compact flow: the omission grid split into sequential chunks, each
-// chunk resuming from its predecessor's checkpoint (the exact chain a
-// scand job hands to remote scanworkers), must reproduce the
-// single-process restore→omit pipeline bit for bit at every chunk
-// count — including when a chunk is interrupted mid-share and re-run
-// from its own checkpoint, which is what a lease reclaim after a
-// worker crash does.
+// checkWorkerClaim pins what a compact-flow task does under the
+// worker-claim protocol: restoration then omission on one checkpoint
+// store, stopped at a poll boundary (a worker killed mid-task, its
+// lease reclaimed), then resumed from that store as the next claimant
+// does. The resumed run must reproduce the uninterrupted single-process
+// pipeline bit for bit: both sequences, the kept mask composed from the
+// store's two sections (what the job result reports), and the
+// rule-determined stats, with the stop in restoration and, separately,
+// in omission.
 func checkWorkerClaim(w *Workload) string {
-	wantR, wantO, wantRst, wantOst := compact.RestoreThenOmitOpts(
-		w.Design.Scan, w.Seq, w.Faults, compact.Options{Workers: 1})
+	run := func(ctl *runctl.Control) (restored, omitted logic.Sequence, rst, ost compact.Stats, kept string, err error) {
+		restored, omitted, rst, ost = compact.RestoreThenOmitOpts(
+			w.Design.Scan, w.Seq, w.Faults, compact.Options{Workers: 1, Control: ctl})
+		if !ost.Status.Done() {
+			return restored, omitted, rst, ost, "", nil
+		}
+		rs, _, err := compact.LoadRestoreState(ctl.Store, len(w.Seq), len(w.Faults), compact.OrderDetection)
+		if err != nil {
+			return restored, omitted, rst, ost, "", err
+		}
+		om, _, err := compact.LoadOmitState(ctl.Store, len(restored), len(w.Faults))
+		if err != nil {
+			return restored, omitted, rst, ost, "", err
+		}
+		kept, err = compact.ComposeKept(rs.Kept, om.Kept)
+		return restored, omitted, rst, ost, kept, err
+	}
+	wantR, wantO, wantRst, wantOst, wantKept, err := run(&runctl.Control{Store: runctl.NewMemStore()})
+	if err != nil {
+		return fmt.Sprintf("worker-claim: reference kept mask: %v", err)
+	}
 	if wantRst.Status != runctl.Complete || wantOst.Status != runctl.Complete {
 		return fmt.Sprintf("worker-claim: reference pipeline status %v/%v", wantRst.Status, wantOst.Status)
 	}
-	for _, chunks := range []int{1, 2, 3} {
-		restored, omitted, _, ost, err := compact.ChunkedRestoreThenOmit(
-			w.Design.Scan, w.Seq, w.Faults, compact.Options{Workers: 1}, chunks)
-		label := fmt.Sprintf("worker-claim chunks=%d", chunks)
+	if got, err := compact.ApplyMask(w.Seq, wantKept); err != nil || !seqEqual(wantO, got) {
+		return fmt.Sprintf("worker-claim: reference kept mask does not select the compacted sequence (err %v)", err)
+	}
+
+	// Restoration polls once per target fault, omission at least once
+	// per window: one stop lands in each pass.
+	rng := w.rng(10)
+	stops := []int64{
+		int64(1 + rng.Intn(max(wantRst.TargetFaults, 1))),
+		int64(wantRst.TargetFaults + 1 + rng.Intn(4)),
+	}
+	for _, polls := range stops {
+		store := runctl.NewMemStore()
+		restored, omitted, rst, ost, kept, err := run(resumeControl(store, polls))
+		label := fmt.Sprintf("worker-claim stop at poll %d", polls)
 		if err != nil {
 			return fmt.Sprintf("%s: %v", label, err)
+		}
+		if !ost.Status.Done() {
+			if ost.Status != runctl.Canceled {
+				return fmt.Sprintf("%s: interrupted task status %v/%v, want canceled", label, rst.Status, ost.Status)
+			}
+			restored, omitted, rst, ost, kept, err = run(&runctl.Control{Store: store, Resume: true})
+			if err != nil {
+				return fmt.Sprintf("%s: resumed: %v", label, err)
+			}
+			if rst.Status != runctl.Resumed || !ost.Status.Done() {
+				return fmt.Sprintf("%s: resumed task status %v/%v", label, rst.Status, ost.Status)
+			}
 		}
 		if !seqEqual(wantR, restored) {
 			return fmt.Sprintf("%s: restored %d vectors, reference %d", label, len(restored), len(wantR))
@@ -58,50 +102,15 @@ func checkWorkerClaim(w *Workload) string {
 		if !seqEqual(wantO, omitted) {
 			return fmt.Sprintf("%s: omitted %d vectors, reference %d", label, len(omitted), len(wantO))
 		}
+		if kept != wantKept {
+			return fmt.Sprintf("%s: kept mask %s, reference %s", label, kept, wantKept)
+		}
+		if refStatsOf(rst) != refStatsOf(wantRst) {
+			return fmt.Sprintf("%s: restore stats %+v, reference %+v", label, refStatsOf(rst), refStatsOf(wantRst))
+		}
 		if refStatsOf(ost) != refStatsOf(wantOst) {
 			return fmt.Sprintf("%s: omit stats %+v, reference %+v", label, refStatsOf(ost), refStatsOf(wantOst))
 		}
-	}
-
-	// The reclaim path: chunk 0 of 2 interrupted at a poll boundary,
-	// then re-run from its own checkpoint — as the janitor does after a
-	// crashed worker — before chunk 1 finishes the grid.
-	rng := w.rng(10)
-	polls := int64(1 + rng.Intn(4))
-	store0 := runctl.NewMemStore()
-	opts := compact.Options{Workers: 1,
-		Control: &runctl.Control{Budget: runctl.Budget{StopAfterPolls: polls}, Store: store0}}
-	_, st, chunkDone, err := compact.OmitChunkOpts(w.Design.Scan, wantR, w.Faults, opts, 0, 2)
-	if err != nil {
-		return fmt.Sprintf("worker-claim/reclaim: interrupted chunk: %v", err)
-	}
-	if !chunkDone {
-		if st.Status != runctl.Canceled {
-			return fmt.Sprintf("worker-claim/reclaim: interrupted chunk status %v, want canceled", st.Status)
-		}
-		opts.Control = &runctl.Control{Store: store0}
-		if _, _, chunkDone, err = compact.OmitChunkOpts(w.Design.Scan, wantR, w.Faults, opts, 0, 2); err != nil {
-			return fmt.Sprintf("worker-claim/reclaim: re-run chunk: %v", err)
-		}
-		if !chunkDone {
-			return "worker-claim/reclaim: re-run chunk did not finish its share"
-		}
-	}
-	store1 := runctl.NewMemStore()
-	if err := compact.CopySection(store1, store0, compact.OmitSection); err != nil {
-		return fmt.Sprintf("worker-claim/reclaim: seed chunk 1: %v", err)
-	}
-	opts.Control = &runctl.Control{Store: store1}
-	out, ost, chunkDone, err := compact.OmitChunkOpts(w.Design.Scan, wantR, w.Faults, opts, 1, 2)
-	if err != nil {
-		return fmt.Sprintf("worker-claim/reclaim: final chunk: %v", err)
-	}
-	if !chunkDone || !ost.Status.Done() {
-		return fmt.Sprintf("worker-claim/reclaim: final chunk status %v (done=%v)", ost.Status, chunkDone)
-	}
-	if !seqEqual(wantO, out) {
-		return fmt.Sprintf("worker-claim/reclaim: output %d vectors after stop at poll %d, reference %d",
-			len(out), polls, len(wantO))
 	}
 	return ""
 }

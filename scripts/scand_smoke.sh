@@ -5,8 +5,9 @@
 # with metricscheck, exercise the sharded simulate flow against an
 # unsharded reference for byte-identity, SIGTERM the server and require
 # a clean drain — then a worker-fleet topology: a remote-only scand
-# with two scanworker processes running a sharded compact job, one
-# worker SIGKILLed mid-job, and the post-crash result byte-compared
+# with two scanworker processes running a two-circuit compact job, one
+# worker SIGKILLed while it runs a claimed task, the reclaim required in
+# the job's event stream, and the post-crash result byte-compared
 # against the single-process reference. Used by `make scand-smoke` and
 # CI.
 set -eu
@@ -59,8 +60,8 @@ ctl result job-0003 >"$work/sharded.json"
 cmp "$work/unsharded.json" "$work/sharded.json" || {
     echo "sharded result differs from unsharded"; exit 1; }
 
-echo "== single-process compact reference (restore + chunked omission)"
-ctl submit -flow compact -circuits s298,s344 -seq-len 96 -omit-shards 2 -watch >/dev/null
+echo "== single-process compact reference (restore + omission)"
+ctl submit -flow compact -circuits s298,s344 -seq-len 512 -watch >/dev/null
 ctl result job-0004 >"$work/compact-ref.json"
 
 echo "== job listing"
@@ -99,12 +100,23 @@ wpids="$w1"
 w2=$!
 wpids="$w1 $w2"
 
-echo "== sharded compact job on the fleet, SIGKILLing one worker mid-job"
-ctl submit -flow compact -circuits s298,s344 -seq-len 96 -omit-shards 2 >/dev/null
-sleep 0.4
+echo "== compact job on the fleet, SIGKILLing one worker mid-task"
+ctl submit -flow compact -circuits s298,s344 -seq-len 512 >/dev/null
+# Kill 'doomed' the moment it logs a claim: a 512-vector compaction runs
+# far longer than one poll of this loop, so the task is still running.
+i=0
+until grep -q "claimed job-0001" "$work/w1.log"; do
+    i=$((i + 1))
+    [ "$i" -gt 200 ] && { echo "worker 'doomed' never claimed a task"; cat "$work/w1.log"; exit 1; }
+    sleep 0.05
+done
 kill -9 "$w1"
-echo "   killed worker 'doomed' (pid $w1); lease must expire and its task re-run"
-ctl watch job-0001 >/dev/null || { echo "fleet compact job failed"; cat "$work/w2.log"; exit 1; }
+echo "   killed worker 'doomed' (pid $w1) after: $(grep "claimed job-0001" "$work/w1.log")"
+ctl watch job-0001 >"$work/fleet-events.jsonl" || {
+    echo "fleet compact job failed"; cat "$work/w2.log"; exit 1; }
+grep -q '"task_reclaimed"' "$work/fleet-events.jsonl" || {
+    echo "fleet job's event stream has no task_reclaimed: the kill interrupted no task"
+    cat "$work/fleet-events.jsonl"; exit 1; }
 ctl result job-0001 >"$work/compact-fleet.json"
 cmp "$work/compact-ref.json" "$work/compact-fleet.json" || {
     echo "post-crash fleet result differs from single-process reference"; exit 1; }
